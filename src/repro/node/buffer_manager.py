@@ -25,7 +25,7 @@ silently wrong result.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -52,11 +52,15 @@ __all__ = ["BufferManager", "PartitionBufferStats"]
 
 
 class _Frame:
-    __slots__ = ("version", "dirty", "pins", "protects", "evicting", "prev_dirty")
+    __slots__ = (
+        "version", "dirty", "pins", "protects", "evicting", "prev_dirty", "stamp"
+    )
 
-    def __init__(self, version: int, dirty: bool) -> None:
+    def __init__(self, version: int, stamp: int) -> None:
         self.version = version
-        self.dirty = dirty
+        #: Set and cleared only through ``BufferManager._mark_dirty`` /
+        #: ``_mark_clean``, which keep the dirty index in step.
+        self.dirty = False
         self.pins = 0
         #: Protection against *capacity* eviction while a lock request
         #: naming this copy's version is in flight (a stale copy may
@@ -67,6 +71,9 @@ class _Frame:
         #: restored on rollback (the pre-image may be this node's
         #: committed dirty copy that must not be lost).
         self.prev_dirty = False
+        #: LRU position: renewed on every insert and move-to-end, so
+        #: stamps strictly ascend along the buffer's LRU order.
+        self.stamp = stamp
 
 
 class PartitionBufferStats:
@@ -103,7 +110,13 @@ class BufferManager:
         self.sim = node.sim
         self.capacity = capacity
         self.ledger = ledger
-        self._frames: "OrderedDict[PageId, _Frame]" = OrderedDict()
+        # LRU order is dict insertion order: oldest first, and
+        # move-to-end is pop then reinsert (``_touch``).  ``_dirty``
+        # holds the dirty frames in the same order, so the write-back
+        # daemon finds its candidate without scanning the clean tail.
+        self._frames: Dict[PageId, _Frame] = {}
+        self._dirty: Dict[PageId, _Frame] = {}
+        self._clock = 0
         self.partition_stats: Dict[int, PartitionBufferStats] = {}
         self.evictions = 0
         self.eviction_writes = 0
@@ -165,6 +178,7 @@ class BufferManager:
         guards fail) and leave it dropped.
         """
         self._frames.clear()
+        self._dirty.clear()
 
     def dirty_frames(
         self, predicate: Optional[Callable[[PageId], bool]] = None
@@ -175,8 +189,8 @@ class BufferManager:
         """
         return sorted(
             (page, frame.version)
-            for page, frame in self._frames.items()
-            if frame.dirty and (predicate is None or predicate(page))
+            for page, frame in self._dirty.items()
+            if predicate is None or predicate(page)
         )
 
     def mark_clean(self, page: PageId, version: int) -> None:
@@ -184,7 +198,7 @@ class BufferManager:
         the modified page was shipped to its GLA node at commit)."""
         frame = self._frames.get(page)
         if frame is not None and frame.version == version:
-            frame.dirty = False
+            self._mark_clean(page, frame)
 
     def invalidate_stale(self, page: PageId, current: int) -> None:
         """Drop a cached copy older than ``current`` (MVCC validation
@@ -194,7 +208,7 @@ class BufferManager:
         """
         frame = self._frames.get(page)
         if frame is not None and frame.version < current and not frame.pins:
-            del self._frames[page]
+            self._remove(page)
 
     @property
     def _multiversion(self) -> bool:
@@ -243,7 +257,7 @@ class BufferManager:
             if frame.version == expected:
                 if first_touch:
                     stats.hits += 1
-                self._frames.move_to_end(page)
+                self._touch(page, frame)
                 if page_access.write:
                     self._apply_write(txn, page, expected)
                 return iter(())
@@ -255,7 +269,7 @@ class BufferManager:
                     # version the grant promised -- a hit, no I/O.
                     if first_touch:
                         stats.hits += 1
-                    self._frames.move_to_end(page)
+                    self._touch(page, frame)
                     return iter(())
                 raise CoherencyError(
                     f"node {self.node.node_id} caches page {page} version "
@@ -346,7 +360,7 @@ class BufferManager:
         if frame is not None:
             if first_touch:
                 stats.hits += 1
-            self._frames.move_to_end(page)
+            self._touch(page, frame)
         else:
             if first_touch:
                 stats.misses += 1
@@ -359,7 +373,7 @@ class BufferManager:
         if page_access.write and page not in txn.modified_unlocked:
             txn.modified_unlocked.add(page)
             if frame is not None:
-                frame.dirty = True
+                self._mark_dirty(page, frame)
                 frame.pins += 1
 
     def _expected_version(
@@ -387,7 +401,7 @@ class BufferManager:
             # A write-back of the old version is in flight; the evictor
             # will notice the frame vanished and leave it dropped.
             pass
-        del self._frames[page]
+        self._remove(page)
 
     def _apply_write(self, txn: Transaction, page: PageId, expected: int) -> None:
         frame = self._frames.get(page)
@@ -399,7 +413,7 @@ class BufferManager:
         txn.modified[page] = new_version
         frame.prev_dirty = frame.dirty
         frame.version = new_version
-        frame.dirty = True
+        self._mark_dirty(page, frame)
         frame.pins += 1  # no-steal: pinned until commit/abort
 
     # -- frame insertion and replacement ------------------------------------
@@ -410,13 +424,67 @@ class BufferManager:
         existing = self._frames.get(page)
         if existing is not None:
             # A concurrent fetch raced us; keep the newest version.
+            self._touch(page, existing)
             if version > existing.version:
                 existing.version = version
-                existing.dirty = existing.dirty or dirty
-            self._frames.move_to_end(page)
+                if dirty:
+                    self._mark_dirty(page, existing)
             return
         yield from self._ensure_space()
-        self._frames[page] = _Frame(version, dirty)
+        replaced = self._frames.get(page)
+        if replaced is None:
+            self._clock += 1
+            frame = _Frame(version, self._clock)
+        else:
+            # A concurrent fetch inserted the page while space was
+            # being made: the new frame takes over its LRU slot (dict
+            # assignment keeps the key's position).
+            frame = _Frame(version, replaced.stamp)
+            self._mark_clean(page, replaced)
+        self._frames[page] = frame
+        if dirty:
+            self._mark_dirty(page, frame)
+
+    # -- LRU order and dirty index -----------------------------------------
+    # Apart from ``_insert`` adding a frame and ``drop_all``, only these
+    # helpers change ``_frames`` or ``_dirty`` or flip a buffered
+    # frame's ``dirty`` flag.
+
+    def _touch(self, page: PageId, frame: _Frame) -> None:
+        """Move ``frame`` to the most recently used end."""
+        frames = self._frames
+        del frames[page]
+        frames[page] = frame
+        self._clock += 1
+        frame.stamp = self._clock
+        if frame.dirty:
+            dirty = self._dirty
+            del dirty[page]
+            dirty[page] = frame
+
+    def _mark_dirty(self, page: PageId, frame: _Frame) -> None:
+        if frame.dirty:
+            return
+        frame.dirty = True
+        dirty = self._dirty
+        if dirty and next(reversed(dirty.values())).stamp > frame.stamp:
+            # Dirtied away from the MRU end (a rollback restoring a
+            # committed dirty copy that was cleaned meanwhile, or a
+            # dirty page received into a raced slot): rare, so rebuild
+            # the index in LRU order.
+            self._dirty = {p: f for p, f in self._frames.items() if f.dirty}
+        else:
+            dirty[page] = frame
+
+    def _mark_clean(self, page: PageId, frame: _Frame) -> None:
+        if frame.dirty:
+            frame.dirty = False
+            del self._dirty[page]
+
+    def _remove(self, page: PageId) -> None:
+        frame = self._frames.pop(page)
+        if frame.dirty:
+            del self._dirty[page]
 
     def insert_received_page(
         self, page: PageId, version: int, dirty: bool
@@ -469,7 +537,7 @@ class BufferManager:
             self._outstanding_writebacks -= 1
         current = self._frames.get(page)
         if current is frame and frame.version == version:
-            frame.dirty = False
+            self._mark_clean(page, frame)
             if self.node.database.by_index(page[0]).lockable:
                 yield from self.node.protocol.page_written_back(
                     self.node.node_id, page, version
@@ -479,22 +547,26 @@ class BufferManager:
     def _oldest_dirty_unpinned(
         self, scan_depth: int
     ) -> Optional[Tuple[PageId, _Frame]]:
-        """First dirty, unpinned frame within the oldest LRU region.
+        """First dirty, unpinned frame among the ``scan_depth`` oldest.
 
         Returns None when the buffer is not full (no replacement
-        pressure) or the tail is already clean.
+        pressure) or the tail is already clean.  Walks the dirty index,
+        not the tail: stamps ascend along the LRU order, so a frame is
+        in the tail exactly when its stamp is below that of the frame
+        at position ``scan_depth``.
         """
-        if len(self._frames) < self.capacity:
+        frames = self._frames
+        dirty = self._dirty
+        if not dirty or len(frames) < self.capacity:
             return None
-        for index, (page, frame) in enumerate(self._frames.items()):
-            if index >= scan_depth:
+        if scan_depth < len(frames):
+            limit = next(islice(frames.values(), scan_depth, None)).stamp
+        else:
+            limit = self._clock + 1
+        for page, frame in dirty.items():
+            if frame.stamp >= limit:
                 return None
-            if (
-                frame.dirty
-                and not frame.pins
-                and not frame.protects
-                and not frame.evicting
-            ):
+            if not frame.pins and not frame.protects and not frame.evicting:
                 return page, frame
         return None
 
@@ -514,14 +586,14 @@ class BufferManager:
                     victim.evicting = False
                     continue
                 victim.evicting = False
-                del self._frames[victim_page]
+                self._remove(victim_page)
                 self.evictions += 1
                 if self.node.database.by_index(victim_page[0]).lockable:
                     yield from self.node.protocol.page_written_back(
                         self.node.node_id, victim_page, version
                     )
             else:
-                del self._frames[victim_page]
+                self._remove(victim_page)
                 self.evictions += 1
 
     def _choose_victim(self) -> Tuple[PageId, _Frame]:
@@ -570,7 +642,7 @@ class BufferManager:
         yield from self.node.storage.write(page, version, self.node.cpu)
         frame = self._frames.get(page)
         if frame is not None and (version is None or frame.version == version):
-            frame.dirty = False
+            self._mark_clean(page, frame)
 
     def finish_commit(self, txn: Transaction) -> None:
         """Unpin the transaction's modified pages (end of commit)."""
@@ -593,7 +665,10 @@ class BufferManager:
             if frame is not None and frame.version == version:
                 frame.pins = max(0, frame.pins - 1)
                 frame.version = version - 1
-                frame.dirty = frame.prev_dirty
+                if frame.prev_dirty:
+                    self._mark_dirty(page, frame)
+                else:
+                    self._mark_clean(page, frame)
         self._unpin_unlocked(txn)
 
     def _unpin_unlocked(self, txn: Transaction) -> None:

@@ -1,6 +1,6 @@
 """The simsan runtime checks.
 
-Four invariant families, mirroring the static RES/SIM rule catalog at
+Five invariant families, mirroring the static RES/SIM rule catalog at
 runtime (the linter proves the *code shape* is safe; the sanitizer
 checks the *executed run* actually was):
 
@@ -21,6 +21,10 @@ checks the *executed run* actually was):
   units are back.  Under ``coupling="rdma"`` the pool residency map
   must never run *ahead* of the version ledger (a pool-resident
   version that was never committed is a torn install).
+* **buffer index** -- each node's dirty index holds exactly the dirty
+  frames of its buffer, in the buffer's LRU order, and LRU stamps
+  strictly ascend along that order (the write-back daemon's candidate
+  lookup relies on both).
 
 Violations are collected into a structured :class:`SanitizerReport`;
 :meth:`SimSanitizer.finish` raises :class:`SanitizerError` carrying the
@@ -76,6 +80,7 @@ class SanitizerReport:
     resources_checked: int = 0
     lock_tables_checked: int = 0
     pool_pages_checked: int = 0
+    buffers_checked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -90,7 +95,8 @@ class SanitizerReport:
             f"{self.events_checked} events, {self.spans_checked} spans, "
             f"{self.resources_checked} resources, "
             f"{self.lock_tables_checked} lock tables, "
-            f"{self.pool_pages_checked} pool pages checked"
+            f"{self.pool_pages_checked} pool pages, "
+            f"{self.buffers_checked} buffers checked"
         )
         lines = [head] + [f"  {v}" for v in self.violations]
         return "\n".join(lines)
@@ -269,6 +275,8 @@ class SimSanitizer:
         for name, table in self._lock_tables(cluster):
             self._check_lock_table(name, table)
         self._check_pool(cluster)
+        for node in cluster.nodes:
+            self._check_buffer_index(f"node{node.node_id}.buffer", node.buffer)
 
     def finish(self, cluster: Any) -> SanitizerReport:
         """Horizon checks, then raise if anything was violated."""
@@ -383,3 +391,37 @@ class SimSanitizer:
                     f"pool holds version {version} but only {committed} "
                     "is committed (torn install)",
                 )
+
+    # -- buffer LRU order and dirty index ----------------------------------
+
+    def _check_buffer_index(self, name: str, buffer: Any) -> None:
+        report = self.report
+        report.buffers_checked += 1
+        expected = [
+            (page, frame) for page, frame in buffer._frames.items() if frame.dirty
+        ]
+        indexed = list(buffer._dirty.items())
+        if indexed != expected:
+            pairs = zip(indexed, expected)
+            at = next(
+                (i for i, (got, want) in enumerate(pairs) if got != want),
+                min(len(indexed), len(expected)),
+            )
+            report.record(
+                "buffer-index",
+                name,
+                f"dirty index holds {len(indexed)} frame(s), the buffer "
+                f"{len(expected)} dirty one(s); they first differ at "
+                f"position {at} of the LRU order",
+            )
+        previous: Optional[int] = None
+        for page, frame in buffer._frames.items():
+            if previous is not None and frame.stamp <= previous:
+                report.record(
+                    "buffer-index",
+                    name,
+                    f"page {page} has LRU stamp {frame.stamp}, not above "
+                    f"its predecessor's {previous}",
+                )
+                break
+            previous = frame.stamp

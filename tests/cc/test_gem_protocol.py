@@ -145,7 +145,7 @@ class TestCoherency:
             cluster,
             cluster.nodes[0].storage.write(PAGE, 1, cluster.nodes[0].cpu),
         )
-        cluster.nodes[0].buffer._frames.clear()
+        cluster.nodes[0].buffer.drop_all()
         reader = make_txn(cluster, 2, 1)
 
         def proc():

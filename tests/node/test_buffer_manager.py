@@ -223,6 +223,27 @@ class TestCommitAndRollback:
         assert node.buffer.cached_version((0, 5)) == 1
         assert node.buffer.has_current_dirty((0, 5), 1)
 
+    def test_rollback_redirty_keeps_lru_order_for_writeback(self):
+        node = MiniNode(buffer_pages=3)
+        txn1 = make_txn(1)
+        do_access(node, txn1, write_access((0, 1)))
+        commit(node, txn1)  # committed dirty v1
+        txn2 = make_txn(2)
+        do_access(node, txn2, write_access((0, 1)), LockGrant(1))
+        node.buffer.mark_clean((0, 1), 2)  # the pinned v2 was shipped
+        txn3 = make_txn(3)
+        do_access(node, txn3, write_access((0, 2)))
+        commit(node, txn3)
+        # Page 1 turns dirty again behind the newer dirty page 2.
+        node.buffer.rollback(txn2)
+        do_access(node, make_txn(4), read_access((0, 3)))  # buffer full
+        assert node.buffer.dirty_frames() == [((0, 1), 1), ((0, 2), 1)]
+        # Page 1 is the least recently used dirty frame: the write-back
+        # candidate whether the tail spans the buffer or one frame.
+        for scan_depth in (16, 1):
+            page, _ = node.buffer._oldest_dirty_unpinned(scan_depth)
+            assert page == (0, 1)
+
     def test_rollback_of_fresh_page_restores_clean(self):
         node = MiniNode()
         txn = make_txn()

@@ -83,6 +83,7 @@ class TestIdentity:
         assert report.events_checked > 0
         assert report.resources_checked > 0
         assert report.lock_tables_checked > 0
+        assert report.buffers_checked == 2
 
 
 class TestMonotonicClock:
@@ -205,6 +206,31 @@ class TestHorizonChecks:
             v.check == "pool-ledger" and "torn install" in v.detail
             for v in excinfo.value.report.violations
         )
+
+    def test_dirty_index_out_of_step_is_caught(self):
+        cluster = self.run_cluster()
+        buffer = cluster.nodes[1].buffer
+        assert buffer._dirty, "run must leave dirty frames in the buffer"
+        buffer._dirty.pop(next(iter(buffer._dirty)))
+        with pytest.raises(SanitizerError) as excinfo:
+            cluster.sanitizer.finish(cluster)
+        assert [
+            (v.check, v.where) for v in excinfo.value.report.violations
+        ] == [("buffer-index", "node1.buffer")]
+        assert "first differ at position 0" in str(excinfo.value)
+
+    def test_lru_stamps_out_of_order_are_caught(self):
+        cluster = self.run_cluster()
+        buffer = cluster.nodes[0].buffer
+        frames = list(buffer._frames.values())
+        frames[0].stamp, frames[1].stamp = frames[1].stamp, frames[0].stamp
+        with pytest.raises(SanitizerError) as excinfo:
+            cluster.sanitizer.finish(cluster)
+        violations = excinfo.value.report.violations
+        assert [(v.check, v.where) for v in violations] == [
+            ("buffer-index", "node0.buffer")
+        ]
+        assert "not above its predecessor" in violations[0].detail
 
     def test_sanitize_finish_is_a_no_op_without_the_sanitizer(self):
         cluster = Cluster(small_config())
