@@ -1,4 +1,4 @@
-"""Protocol interface shared by GEM locking and primary copy locking.
+"""Protocol interface shared by every concurrency-control protocol.
 
 The buffer manager drives coherency control through the
 :class:`LockGrant` a protocol returns from :meth:`CCProtocol.acquire`:
@@ -28,7 +28,8 @@ class PageSource(str, enum.Enum):
 
     #: Read the permanent database (disk / disk cache / GEM file).
     STORAGE = "storage"
-    #: Request the page from the owning node's buffer (GEM + NOFORCE).
+    #: Fetch the page from the shared store's page supply: the owning
+    #: node's buffer (GEM + NOFORCE) or the pool copy (RDMA).
     OWNER = "owner"
     #: The page arrived together with the lock grant (PCL + NOFORCE).
     SUPPLIED = "supplied"
@@ -92,7 +93,7 @@ class CCProtocol:
     def request_page_from_owner(
         self, txn: Transaction, page: PageId, grant: LockGrant
     ) -> Generator[Event, Any, Optional[int]]:
-        """Fetch the page from ``grant.owner_node``'s buffer.
+        """Fetch the page an OWNER ``grant`` names (owner's buffer or pool).
 
         Returns the received version, or None if ownership lapsed and
         the permanent database must be read instead.
@@ -133,8 +134,9 @@ class CCProtocol:
     ) -> Generator[Event, Any, None]:
         """A node wrote a committed dirty page to permanent storage.
 
-        GEM locking clears the page-owner entry so that future readers
-        go to storage; PCL needs no action (the GLA stays responsible).
+        Store-based protocols clear the page-owner entry (and pool
+        residency) so that future readers go to storage; PCL needs no
+        action (the GLA stays responsible).
         """
         raise NotImplementedError
 
@@ -159,8 +161,7 @@ class CCProtocol:
     def lock_stats(self) -> Dict[str, float]:
         """CC-path statistics for result collection.
 
-        Protocols without the legacy GEM/PCL stat shapes report through
-        this generic view.  Required keys: ``local_share``,
+        Required keys: ``local_share``,
         ``remote_lock_requests``, ``lock_requests``, ``mean_lock_wait``,
         ``page_requests``, ``mean_page_request_delay`` and
         ``pages_supplied_with_grant``.

@@ -14,23 +14,19 @@ layer barriers.
 
 Coupling regimes differ only in where the scheduler state lives:
 
-* **GEM**: batch membership and the published schedule live in GEM --
-  joining and publishing the schedule are synchronous entry accesses,
-  completion reports are entry writes.  The batch state survives node
-  crashes.
-* **RDMA**: the batch area lives in the disaggregated memory pool;
-  joins, schedule publication and completions are remote CAS round
-  trips, committed pages are installed into the pool and fetched from
-  it with one-sided reads (no owner messages).  The batch state
-  survives node crashes like under GEM.
+* **Shared store (GEM, RDMA)**: batch membership and the published
+  schedule live in the store (:mod:`repro.cc.store`) -- joining and
+  publishing the schedule are synchronous word accesses, completion
+  reports are word writes.  The batch state survives node crashes.
 * **PCL**: the lowest-numbered surviving node runs the scheduler;
   joins ship the access set in a long message, the schedule is
   broadcast in short messages, completions are short messages.
 
 Coherency control reuses the paper's NOFORCE ownership scheme: the
-committer keeps the dirty page and later readers fetch it with a
-page request/response exchange (both regimes -- the schedule names the
-owner, so no directory lookup is needed).
+committer keeps the dirty page and the schedule names it as the owner,
+so no directory lookup is needed.  Later readers fetch the page from
+the owner's buffer (GEM, PCL) or from the pool copy installed at
+commit (RDMA).
 """
 
 from __future__ import annotations
@@ -48,21 +44,14 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.cc.base import CCProtocol, LockGrant, PageSource
-from repro.cc.messages import (
-    DgccDonePayload,
-    DgccJoinPayload,
-    DgccSchedPayload,
-    PageRequestPayload,
-    PageResponsePayload,
-)
+from repro.cc.base import CCProtocol, LockGrant
+from repro.cc.messages import DgccDonePayload, DgccJoinPayload, DgccSchedPayload
+from repro.cc.store import PageOwners, SharedStore, shared_store
 from repro.db.pages import PageId
 from repro.obs import phases
 from repro.node.lock_table import LockTable
-from repro.node.rdma import RdmaAccessHelper
 from repro.sim.engine import Event
 from repro.sim.stats import Tally
-from repro.system.config import Coupling
 from repro.workload.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,23 +90,17 @@ class DgccProtocol(CCProtocol):
         self.cluster = cluster
         self.sim = cluster.sim
         self.config = cluster.config
-        self.gem = cluster.gem
         self.detector = cluster.detector
         self.recorder = cluster.recorder
         self.gla_map = gla_map
-        #: Central batch-area mode: GEM and RDMA share the structure
-        #: (crash-surviving batch state, synchronous word accesses);
-        #: only the word-access cost model differs.
-        self._gem_mode = cluster.config.coupling is not Coupling.PCL
-        #: Pool-access helper under ``coupling="rdma"``, else None.
-        self._rdma: Optional[RdmaAccessHelper] = (
-            RdmaAccessHelper(cluster)
-            if cluster.config.coupling is Coupling.RDMA
-            else None
-        )
+        #: The shared store holding the batch area (GEM, RDMA), or None
+        #: when a coordinator node runs the scheduler (PCL).
+        self.store: Optional[SharedStore] = shared_store(cluster)
+        #: Where NOFORCE pages come from: the store, or the owners'
+        #: buffers by message under PCL.
+        self.pages = self.store if self.store is not None else PageOwners(cluster)
         self._epoch = self.config.dgcc_epoch_seconds
         # Hot-path config values, resolved once.
-        self._gem_entry_instr = self.config.instructions_per_gem_entry_op
         self._lock_op_instr = self.config.instructions_per_lock_op
         #: Conflict-graph construction cost per declared access.
         self._sched_instr = self.config.instructions_per_gem_entry_op
@@ -135,16 +118,12 @@ class DgccProtocol(CCProtocol):
         self._batch_event: Optional[Event] = None
         self.lock_wait_time = Tally("dgcc.batch_wait")
         self.batch_size = Tally("dgcc.batch_size")
-        self.page_request_delay = Tally("dgcc.page_request_delay")
         self.batches = 0
         self.layers_total = 0
-        self.page_requests = 0
-        self.page_requests_failed = 0
         self.local_lock_requests = 0
         self.remote_lock_requests = 0
-        for node in cluster.nodes:
-            node.register_handler("page_req", self._handle_page_request)
-            if not self._gem_mode:
+        if self.store is None:
+            for node in cluster.nodes:
                 node.register_handler("dgcc_join", self._handle_join)
                 node.register_handler("dgcc_done", self._handle_done)
         self.sim.process(self._driver(), name="dgcc-driver")
@@ -154,23 +133,6 @@ class DgccProtocol(CCProtocol):
     def _coordinator(self) -> int:
         faults = self.cluster.faults
         return faults.coordinator() if faults is not None else 0
-
-    def _entry_ops(
-        self, node_id: int, count: int, txn_id: Optional[int] = None
-    ) -> Generator[Event, Any, None]:
-        """``count`` batch-area word accesses: synchronous GEM entry
-        accesses, or remote CAS round trips under disaggregation."""
-        if self._rdma is not None:
-            yield from self._rdma.cas(node_id, count, txn_id=txn_id)
-            return
-        cpu = self.cluster.nodes[node_id].cpu
-        with self.recorder.span(txn_id, phases.GEM):
-            yield from cpu.grab()
-            try:
-                yield cpu.busy_work(count * self._gem_entry_instr)
-                yield from self.gem.access_entries(count)
-            finally:
-                cpu.release()
 
     # -- the epoch driver --------------------------------------------------
 
@@ -189,10 +151,10 @@ class DgccProtocol(CCProtocol):
         self.batch_size.record(len(members))
         coord = self._coordinator()
         total_accesses = sum(len(m.accesses) for m in members)
-        # Publish the schedule: entry writes under GEM, a broadcast of
-        # short (delivery-confirmed) messages under PCL.
-        if self._gem_mode:
-            yield from self._entry_ops(coord, 2 * len(members))
+        # Publish the schedule: word writes to the store, or a
+        # broadcast of short (delivery-confirmed) messages under PCL.
+        if self.store is not None:
+            yield from self.store.access(coord, 2 * len(members))
         else:
             coord_node = self.cluster.nodes[coord]
             faults = self.cluster.faults
@@ -295,30 +257,9 @@ class DgccProtocol(CCProtocol):
             txn.local_lock_requests += 1
             yield from self.cluster.nodes[txn.node].cpu.consume(self._lock_op_instr)
         txn.held_locks[page] = write or txn.held_locks.get(page, False)
-        seqno = self._seqnos.get(page, 0)
-        if self._noforce:
-            if self._rdma is not None:
-                if self._rdma.current(page, seqno):
-                    # Pool-resident committed copy: a one-sided read
-                    # serves it, installer liveness irrelevant.
-                    return LockGrant(
-                        seqno,
-                        source=PageSource.OWNER,
-                        owner_node=self._owners.get(page),
-                        local=True,
-                    )
-            else:
-                owner = self._owners.get(page)
-                if owner is not None and owner != txn.node:
-                    faults = self.cluster.faults
-                    if faults is None or not faults.is_down(owner):
-                        return LockGrant(
-                            seqno,
-                            source=PageSource.OWNER,
-                            owner_node=owner,
-                            local=True,
-                        )
-        return LockGrant(seqno, source=PageSource.STORAGE, local=True)
+        return self.pages.grant(
+            txn.node, page, self._seqnos.get(page, 0), self._owners.get(page)
+        )
 
     def _join(self, txn: Transaction) -> Generator[Event, Any, None]:
         node_id = txn.node
@@ -327,10 +268,10 @@ class DgccProtocol(CCProtocol):
         member = _Member(txn_id, node_id, txn.lockable_pages(), self.sim.event())
         self._members[txn_id] = member
         self._collecting[txn_id] = member
-        if self._gem_mode:
+        if self.store is not None:
             self.local_lock_requests += 1
             txn.local_lock_requests += 1
-            yield from self._entry_ops(node_id, 2, txn_id=txn_id)
+            yield from self.store.access(node_id, 2, txn_id)
         else:
             coord = self._coordinator()
             if coord == node_id:
@@ -380,56 +321,8 @@ class DgccProtocol(CCProtocol):
     def request_page_from_owner(
         self, txn: Transaction, page: PageId, grant: LockGrant
     ) -> Generator[Event, Any, Optional[int]]:
-        if self._rdma is not None:
-            # One-sided pool read; no owner participates.
-            self.page_requests += 1
-            pool_started = self.sim.now
-            pool_version = yield from self._rdma.fetch(txn, page, grant.seqno)
-            if pool_version is None:
-                self.page_requests_failed += 1
-            else:
-                self.page_request_delay.record(self.sim.now - pool_started)
-            return pool_version
-        assert grant.owner_node is not None
-        self.page_requests += 1
-        started = self.sim.now
-        with self.recorder.span(txn.txn_id, phases.PAGE_TRANSFER):
-            node = self.cluster.nodes[txn.node]
-            reply = self.sim.event()
-            faults = self.cluster.faults
-            if faults is not None:
-                faults.watch(grant.owner_node, reply)
-            request: PageRequestPayload = {
-                "page": page,
-                "reply": reply,
-                "requester": txn.node,
-            }
-            yield from node.comm.send(grant.owner_node, "page_req", request)
-            payload = yield reply
-            if faults is not None:
-                faults.unwatch(grant.owner_node, reply)
-            if payload.get("crashed"):
-                version: Optional[int] = None
-            else:
-                version = payload.get("version")
-        if version is None:
-            self.page_requests_failed += 1
-        else:
-            self.page_request_delay.record(self.sim.now - started)
+        version = yield from self.pages.fetch(txn, page, grant)
         return version
-
-    def _handle_page_request(
-        self, node: "Node", payload: Mapping[str, Any]
-    ) -> Generator[Event, Any, None]:
-        version = node.buffer.cached_version(payload["page"])
-        response: PageResponsePayload = {"version": version}
-        yield from node.comm.send(
-            payload["requester"],
-            "page_rsp",
-            response,
-            long=version is not None,
-            reply_event=payload["reply"],
-        )
 
     # -- release -----------------------------------------------------------
 
@@ -437,10 +330,10 @@ class DgccProtocol(CCProtocol):
         node_id = txn.node
         txn_id = txn.txn_id
         modified = sorted(txn.modified.items())
-        # Publish versions and the completion: entry writes (GEM) or
-        # one short completion message to the scheduler (PCL).
-        if self._gem_mode:
-            yield from self._entry_ops(node_id, 1 + len(modified))
+        # Publish versions and the completion: word writes to the store,
+        # or one short completion message to the scheduler (PCL).
+        if self.store is not None:
+            yield from self.store.access(node_id, 1 + len(modified))
         else:
             coord = self._coordinator()
             node = self.cluster.nodes[node_id]
@@ -449,10 +342,9 @@ class DgccProtocol(CCProtocol):
             else:
                 done: DgccDonePayload = {"txn_id": txn_id, "committed": True}
                 yield from node.comm.send(coord, "dgcc_done", done)
-        if self._rdma is not None and self._noforce and modified:
-            # Disaggregation: committed pages go into the pool with
-            # one-sided writes; stale cache copies drop at this instant.
-            yield from self._rdma.install(node_id, modified)
+        if self._noforce and modified:
+            # Publish the committed pages (RDMA: into the pool).
+            yield from self.pages.install(node_id, modified)
         for page, version in modified:
             if version > self._seqnos.get(page, 0):
                 self._seqnos[page] = version
@@ -482,12 +374,11 @@ class DgccProtocol(CCProtocol):
             return
         if self._owners.get(page) != node_id or self._seqnos.get(page, 0) != version:
             return
-        if self._gem_mode:
-            yield from self._entry_ops(node_id, 1)
+        if self.store is not None:
+            yield from self.store.access(node_id, 1)
         if self._owners.get(page) == node_id:
             del self._owners[page]
-        if self._rdma is not None:
-            self._rdma.written_back(page, version)
+        self.pages.written_back(page, version)
 
     # -- fault injection ---------------------------------------------------
 
@@ -514,11 +405,8 @@ class DgccProtocol(CCProtocol):
             ):
                 continue
             record.lost[page] = committed
-        # Disaggregation: pages whose committed version is pool-resident
-        # did not die with the node's buffer -- trim them from the lost
-        # set before the fault manager fences it behind REDO.
-        if self._rdma is not None:
-            self._rdma.trim_lost(record)
+        # Pages the store still holds did not die with the node's buffer.
+        self.pages.trim_lost(record)
 
     def recover(
         self, faults: "FaultManager", record: "CrashRecord"
@@ -544,8 +432,8 @@ class DgccProtocol(CCProtocol):
         for page in sorted(p for p, o in self._owners.items() if o == record.node):
             if page in record.lost:
                 continue
-            if self._gem_mode:
-                yield from self._entry_ops(coord, 1)
+            if self.store is not None:
+                yield from self.store.access(coord, 1)
             else:
                 yield from coord_node.cpu.consume(cfg.recovery_instructions_per_lock)
             self._owners.pop(page, None)
@@ -556,11 +444,10 @@ class DgccProtocol(CCProtocol):
     def reintegrate(
         self, faults: "FaultManager", record: "CrashRecord"
     ) -> Generator[Event, Any, None]:
-        """GEM/PCL: no-op -- the restarted node simply resumes joining
-        batches; there is no partitioned protocol state to fail back.
-        RDMA: the node must re-register with the fabric first."""
-        if self._rdma is not None:
-            yield from self._rdma.reintegrate(record)
+        """The restarted node simply resumes joining batches; there is
+        no partitioned protocol state to fail back.  Only the store may
+        have to re-admit it first (RDMA: fabric re-registration)."""
+        yield from self.pages.reintegrate(record)
 
     # -- introspection / statistics ----------------------------------------
 
@@ -576,18 +463,16 @@ class DgccProtocol(CCProtocol):
             "remote_lock_requests": float(self.remote_lock_requests),
             "lock_requests": float(total),
             "mean_lock_wait": self.lock_wait_time.mean,
-            "page_requests": float(self.page_requests),
-            "mean_page_request_delay": self.page_request_delay.mean,
+            "page_requests": float(self.pages.page_requests),
+            "mean_page_request_delay": self.pages.page_request_delay.mean,
             "pages_supplied_with_grant": 0.0,
         }
 
     def reset_stats(self) -> None:
         self.lock_wait_time.reset()
         self.batch_size.reset()
-        self.page_request_delay.reset()
+        self.pages.reset_stats()
         self.batches = 0
         self.layers_total = 0
-        self.page_requests = 0
-        self.page_requests_failed = 0
         self.local_lock_requests = 0
         self.remote_lock_requests = 0

@@ -298,14 +298,12 @@ WIRE_FORMATS: Dict[str, WireFormat] = {
     "release": WireFormat(ReleasePayload, ("PrimaryCopyProtocol",)),
     "revoke": WireFormat(RevokePayload, ("PrimaryCopyProtocol",)),
     "revoke_ack": WireFormat(AckPayload, ()),
-    # GEM locking (page_req is shared by every protocol that can own
-    # a dirty page under the GEM/RDMA regimes)
-    "page_req": WireFormat(
-        PageRequestPayload,
-        ("GemLockingProtocol", "MvccProtocol", "DgccProtocol"),
-    ),
+    # NOFORCE page transfer from the owner's buffer (the coupling
+    # substrate, for every protocol that tracks page owners)
+    "page_req": WireFormat(PageRequestPayload, ("PageOwners",)),
     "page_rsp": WireFormat(PageResponsePayload, ()),
-    "glt_revoke": WireFormat(GltRevokePayload, ("GemLockingProtocol",)),
+    # GEM lock authorizations (2PL against the shared store)
+    "glt_revoke": WireFormat(GltRevokePayload, ("StoreLockingProtocol",)),
     "glt_revoke_ack": WireFormat(AckPayload, ()),
     # MVCC
     "mv_ts": WireFormat(TimestampRequestPayload, ("MvccProtocol",)),

@@ -7,12 +7,15 @@ reservations**, and a commit-time validation checks that every page
 read is still current.  The serialization order is the order of
 **commit timestamps** drawn from one monotonic counter:
 
-* Under **close coupling (GEM)** the version directory -- one entry
-  per page with the committed sequence number and (NOFORCE) the page
-  owner -- and the timestamp counter live in non-volatile GEM.  Every
-  directory operation is a synchronous entry access exactly like a GLT
-  access in :class:`~repro.cc.gem_locking.GemLockingProtocol` (CPU
-  held throughout).  The directory survives node crashes.
+* Under **close coupling (GEM)** and **memory disaggregation (RDMA)**
+  the version directory -- one entry per page with the committed
+  sequence number and (NOFORCE) the page owner -- and the timestamp
+  counter live in the shared store (:mod:`repro.cc.store`).  Every
+  directory operation is a synchronous word access (CPU held
+  throughout), and the directory survives node crashes.  The store
+  decides what a word access costs, where a missing page comes from
+  (the owner's buffer under GEM, the pool under RDMA) and what a crash
+  leaves to recover.
 * Under **loose coupling (PCL)** the directory is partitioned across
   the nodes like the GLAs of primary copy locking: reads, write
   reservations, validation and version installs against a remote home
@@ -21,14 +24,6 @@ read is still current.  The serialization order is the order of
   counter is served by the lowest-numbered surviving node.  A crash
   loses the dead node's directory partition; it is rebuilt from the
   committed ledger during failover.
-* Under **memory disaggregation (RDMA)** the directory has the GEM
-  structure -- one central version directory, crash-surviving -- but
-  every directory word access is a one-sided remote CAS against the
-  pool (:class:`~repro.node.rdma.RdmaAccessHelper`), committed pages
-  are installed into the pool with one-sided page writes (eagerly
-  invalidating stale compute-side cache copies), and a missing page
-  is fetched from the pool with a one-sided read instead of an
-  owner-to-requester message exchange.
 
 Validation waits use commit-timestamp order: a validator only ever
 waits for reservation holders with a *smaller assigned* commit
@@ -61,20 +56,17 @@ from repro.cc.messages import (
     MvccReadResponsePayload,
     MvccReservePayload,
     MvccValidatePayload,
-    PageRequestPayload,
-    PageResponsePayload,
     TimestampRequestPayload,
     TimestampResponsePayload,
     LockResponsePayload,
 )
+from repro.cc.store import SharedStore, shared_store
 from repro.db.pages import PageId
 from repro.errors import TransactionAborted
 from repro.obs import phases
 from repro.node.lock_table import LockTable
-from repro.node.rdma import RdmaAccessHelper
 from repro.sim.engine import Event
 from repro.sim.stats import Tally
-from repro.system.config import Coupling
 from repro.workload.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,23 +87,14 @@ class MvccProtocol(CCProtocol):
         self.cluster = cluster
         self.sim = cluster.sim
         self.config = cluster.config
-        self.gem = cluster.gem
         self.detector = cluster.detector
         self.recorder = cluster.recorder
         self.gla_map = gla_map
-        #: Central-directory mode: GEM and RDMA share the directory
-        #: structure (one crash-surviving table, synchronous word
-        #: accesses); only the word-access cost model differs.
-        self._gem_mode = cluster.config.coupling is not Coupling.PCL
-        #: Pool-access helper when the directory lives in disaggregated
-        #: memory (``coupling="rdma"``), else None.
-        self._rdma: Optional[RdmaAccessHelper] = (
-            RdmaAccessHelper(cluster)
-            if cluster.config.coupling is Coupling.RDMA
-            else None
-        )
-        if self._gem_mode:
-            #: One GEM/pool-resident version directory (non-volatile).
+        #: The shared store holding the central directory (GEM, RDMA),
+        #: or None when the directory is partitioned (PCL).
+        self.store: Optional[SharedStore] = shared_store(cluster)
+        if self.store is not None:
+            #: One store-resident version directory (non-volatile).
             self.tables: List[LockTable] = [LockTable("mvccdir")]
         else:
             #: Per-home directory partitions, volatile like the GLAs.
@@ -119,7 +102,6 @@ class MvccProtocol(CCProtocol):
                 LockTable(f"mvccdir{n}") for n in range(cluster.config.num_nodes)
             ]
         # Hot-path config values, resolved once.
-        self._gem_entry_instr = self.config.instructions_per_gem_entry_op
         self._lock_op_instr = self.config.instructions_per_lock_op
         self._noforce = self.config.noforce
         #: Monotonic begin/commit timestamp counter (GEM cell or served
@@ -135,9 +117,6 @@ class MvccProtocol(CCProtocol):
         self._waiters: Dict[int, List[Tuple[int, Event]]] = {}
         self.lock_wait_time = Tally("mvcc.validation_wait")
         self.remote_grant_delay = Tally("mvcc.remote_grant_delay")
-        self.page_request_delay = Tally("mvcc.page_request_delay")
-        self.page_requests = 0
-        self.page_requests_failed = 0
         self.local_lock_requests = 0
         self.remote_lock_requests = 0
         self.pages_supplied_with_grant = 0
@@ -146,10 +125,8 @@ class MvccProtocol(CCProtocol):
         self.reservation_conflicts = 0
         self.validation_failures = 0
         self.commits_validated = 0
-        for node in cluster.nodes:
-            if self._gem_mode:
-                node.register_handler("page_req", self._handle_page_request)
-            else:
+        if self.store is None:
+            for node in cluster.nodes:
                 node.register_handler("mv_ts", self._handle_ts)
                 node.register_handler("mv_read", self._handle_read)
                 node.register_handler("mv_reserve", self._handle_reserve)
@@ -160,26 +137,9 @@ class MvccProtocol(CCProtocol):
     # -- directory helpers -------------------------------------------------
 
     def _table_for(self, page: PageId) -> LockTable:
-        if self._gem_mode:
+        if self.store is not None:
             return self.tables[0]
         return self.tables[self.gla_map(page)]
-
-    def _entry_ops(
-        self, node_id: int, count: int, txn_id: Optional[int] = None
-    ) -> Generator[Event, Any, None]:
-        """``count`` directory word accesses: synchronous GEM entry
-        accesses, or remote CAS round trips under disaggregation."""
-        if self._rdma is not None:
-            yield from self._rdma.cas(node_id, count, txn_id=txn_id)
-            return
-        cpu = self.cluster.nodes[node_id].cpu
-        with self.recorder.span(txn_id, phases.GEM):
-            yield from cpu.grab()
-            try:
-                yield cpu.busy_work(count * self._gem_entry_instr)
-                yield from self.gem.access_entries(count)
-            finally:
-                cpu.release()
 
     # -- timestamps --------------------------------------------------------
 
@@ -196,11 +156,11 @@ class MvccProtocol(CCProtocol):
     def _draw_ts(
         self, node_id: int, txn_id: int, commit: bool
     ) -> Generator[Event, Any, int]:
-        """Draw a timestamp: one GEM entry access, or a message round
+        """Draw a timestamp: one store word access, or a message round
         to the timestamp authority (free when the authority is local)."""
         self.timestamps_drawn += 1
-        if self._gem_mode:
-            yield from self._entry_ops(node_id, 1, txn_id=txn_id)
+        if self.store is not None:
+            yield from self.store.access(node_id, 1, txn_id)
             return self._alloc_ts(txn_id, commit)
         faults = self.cluster.faults
         node = self.cluster.nodes[node_id]
@@ -254,8 +214,8 @@ class MvccProtocol(CCProtocol):
             txn.begin_ts = yield from self._draw_ts(
                 txn.node, txn.txn_id, commit=False
             )
-        if self._gem_mode:
-            grant = yield from self._acquire_gem(txn, page, write)
+        if self.store is not None:
+            grant = yield from self._acquire_store(self.store, txn, page, write)
             return grant
         grant = yield from self._acquire_pcl(txn, page, write, cached_version)
         return grant
@@ -278,35 +238,8 @@ class MvccProtocol(CCProtocol):
         self._reservations[page] = txn_id
         return True
 
-    def _grant_from_entry(
-        self, node_id: int, page: PageId, seqno: int
-    ) -> LockGrant:
-        """Local/GEM grant: hand out the owner if another node's buffer
-        holds the current version (GEM NOFORCE page transfer)."""
-        owner = self._table_for(page).entry(page).owner
-        if self._rdma is not None:
-            if self._noforce and self._rdma.current(page, seqno):
-                # The committed copy is pool-resident: served by a
-                # one-sided read, installer liveness irrelevant.
-                return LockGrant(
-                    seqno, source=PageSource.OWNER, owner_node=owner, local=True
-                )
-            return LockGrant(seqno, source=PageSource.STORAGE, local=True)
-        if (
-            self._gem_mode
-            and self._noforce
-            and owner is not None
-            and owner != node_id
-        ):
-            faults = self.cluster.faults
-            if faults is None or not faults.is_down(owner):
-                return LockGrant(
-                    seqno, source=PageSource.OWNER, owner_node=owner, local=True
-                )
-        return LockGrant(seqno, source=PageSource.STORAGE, local=True)
-
-    def _acquire_gem(
-        self, txn: Transaction, page: PageId, write: bool
+    def _acquire_store(
+        self, store: SharedStore, txn: Transaction, page: PageId, write: bool
     ) -> Generator[Event, Any, LockGrant]:
         node_id = txn.node
         txn_id = txn.txn_id
@@ -315,7 +248,7 @@ class MvccProtocol(CCProtocol):
         directory = self.tables[0]
         if write:
             # Read the entry, write back the reservation: two accesses.
-            yield from self._entry_ops(node_id, 2, txn_id=txn_id)
+            yield from store.access(node_id, 2, txn_id)
             entry = directory.entry(page)
             if self._doomed(txn, page, entry.seqno):
                 raise TransactionAborted(txn_id)
@@ -323,13 +256,14 @@ class MvccProtocol(CCProtocol):
                 raise TransactionAborted(txn_id)
             txn.held_locks[page] = True
             txn.read_versions.setdefault(page, entry.seqno)
-            return self._grant_from_entry(node_id, page, entry.seqno)
-        # Snapshot read: one entry access to learn the current seqno.
-        yield from self._entry_ops(node_id, 1, txn_id=txn_id)
-        entry = directory.entry(page)
-        seqno = txn.read_versions.setdefault(page, entry.seqno)
-        txn.held_locks[page] = txn.held_locks.get(page, False)
-        return self._grant_from_entry(node_id, page, seqno)
+            seqno = entry.seqno
+        else:
+            # Snapshot read: one entry access to learn the current seqno.
+            yield from store.access(node_id, 1, txn_id)
+            entry = directory.entry(page)
+            seqno = txn.read_versions.setdefault(page, entry.seqno)
+            txn.held_locks[page] = txn.held_locks.get(page, False)
+        return store.grant(node_id, page, seqno, entry.owner)
 
     def _acquire_pcl(
         self,
@@ -506,61 +440,15 @@ class MvccProtocol(CCProtocol):
             reply_event=payload["reply"],
         )
 
-    # -- NOFORCE page transfers (GEM regime) -------------------------------
+    # -- NOFORCE page transfers (shared store) ----------------------------
 
     def request_page_from_owner(
         self, txn: Transaction, page: PageId, grant: LockGrant
     ) -> Generator[Event, Any, Optional[int]]:
-        if self._rdma is not None:
-            # One-sided pool read; no owner participates.
-            self.page_requests += 1
-            pool_started = self.sim.now
-            pool_version = yield from self._rdma.fetch(txn, page, grant.seqno)
-            if pool_version is None:
-                self.page_requests_failed += 1
-            else:
-                self.page_request_delay.record(self.sim.now - pool_started)
-            return pool_version
-        assert grant.owner_node is not None
-        self.page_requests += 1
-        started = self.sim.now
-        with self.recorder.span(txn.txn_id, phases.PAGE_TRANSFER):
-            node = self.cluster.nodes[txn.node]
-            reply = self.sim.event()
-            faults = self.cluster.faults
-            if faults is not None:
-                faults.watch(grant.owner_node, reply)
-            request: PageRequestPayload = {
-                "page": page,
-                "reply": reply,
-                "requester": txn.node,
-            }
-            yield from node.comm.send(grant.owner_node, "page_req", request)
-            payload = yield reply
-            if faults is not None:
-                faults.unwatch(grant.owner_node, reply)
-            if payload.get("crashed"):
-                version: Optional[int] = None
-            else:
-                version = payload.get("version")
-        if version is None:
-            self.page_requests_failed += 1
-        else:
-            self.page_request_delay.record(self.sim.now - started)
+        # Only store grants name an owner; PCL supplies with the grant.
+        assert self.store is not None
+        version = yield from self.store.fetch(txn, page, grant)
         return version
-
-    def _handle_page_request(
-        self, node: "Node", payload: Mapping[str, Any]
-    ) -> Generator[Event, Any, None]:
-        version = node.buffer.cached_version(payload["page"])
-        response: PageResponsePayload = {"version": version}
-        yield from node.comm.send(
-            payload["requester"],
-            "page_rsp",
-            response,
-            long=version is not None,
-            reply_event=payload["reply"],
-        )
 
     # -- validation --------------------------------------------------------
 
@@ -582,9 +470,10 @@ class MvccProtocol(CCProtocol):
         node_id = txn.node
         txn_id = txn.txn_id
         read_set = sorted(txn.read_versions.items())
-        if self._gem_mode:
+        store = self.store
+        if store is not None:
             # Re-read one directory entry per page read.
-            yield from self._entry_ops(node_id, len(read_set), txn_id=txn_id)
+            yield from store.access(node_id, len(read_set), txn_id)
         else:
             yield from self._validate_messages(txn, read_set)
         tc = yield from self._draw_ts(node_id, txn_id, commit=True)
@@ -615,9 +504,9 @@ class MvccProtocol(CCProtocol):
                 break
             blocker = min(blockers, key=lambda t: (blockers[t], t))
             yield from self._wait_for(txn_id, blocker)
-            if self._gem_mode:
+            if store is not None:
                 # Re-check costs one more directory access.
-                yield from self._entry_ops(node_id, 1, txn_id=txn_id)
+                yield from store.access(node_id, 1, txn_id)
         self.commits_validated += 1
 
     def _validate_messages(
@@ -703,13 +592,15 @@ class MvccProtocol(CCProtocol):
     def commit_release(self, txn: Transaction) -> Generator[Event, Any, None]:
         # Read snapshots hold no protocol state; only write
         # reservations must be resolved into version installs.
-        if self._gem_mode:
-            yield from self._commit_release_gem(txn)
+        if self.store is not None:
+            yield from self._commit_release_store(self.store, txn)
         else:
             yield from self._commit_release_pcl(txn)
         self._complete(txn.txn_id)
 
-    def _commit_release_gem(self, txn: Transaction) -> Generator[Event, Any, None]:
+    def _commit_release_store(
+        self, store: SharedStore, txn: Transaction
+    ) -> Generator[Event, Any, None]:
         node_id = txn.node
         txn_id = txn.txn_id
         held = txn.held_locks
@@ -720,19 +611,15 @@ class MvccProtocol(CCProtocol):
                 held.pop(page, None)
                 continue
             # Install: read the entry, write seqno/owner back.
-            yield from self._entry_ops(node_id, 2)
+            yield from store.access(node_id, 2)
             entry = directory.entry(page)
             new_version = txn.modified.get(page)
             if new_version is not None:
                 entry.seqno = max(entry.seqno, new_version)
                 entry.owner = node_id if self._noforce else None
-                if self._rdma is not None and self._noforce:
-                    # Disaggregation: the committed page itself goes
-                    # into the pool (one-sided write) and stale
-                    # compute-side cache copies drop at this instant.
-                    yield from self._rdma.install(
-                        node_id, ((page, new_version),)
-                    )
+                if self._noforce:
+                    # Publish the committed page (RDMA: into the pool).
+                    yield from store.install(node_id, ((page, new_version),))
             if self._reservations.get(page) == txn_id:
                 del self._reservations[page]
             held.pop(page, None)
@@ -854,13 +741,15 @@ class MvccProtocol(CCProtocol):
     def abort_release(self, txn: Transaction) -> Generator[Event, Any, None]:
         # Idempotent: reservations leave held_locks as they are freed;
         # reads never registered anything.
-        if self._gem_mode:
-            yield from self._abort_release_gem(txn)
+        if self.store is not None:
+            yield from self._abort_release_store(self.store, txn)
         else:
             yield from self._abort_release_pcl(txn)
         self._complete(txn.txn_id)
 
-    def _abort_release_gem(self, txn: Transaction) -> Generator[Event, Any, None]:
+    def _abort_release_store(
+        self, store: SharedStore, txn: Transaction
+    ) -> Generator[Event, Any, None]:
         node_id = txn.node
         txn_id = txn.txn_id
         held = txn.held_locks
@@ -869,7 +758,7 @@ class MvccProtocol(CCProtocol):
             if not held[page] or self._reservations.get(page) != txn_id:
                 held.pop(page, None)
                 continue
-            yield from self._entry_ops(node_id, 2)
+            yield from store.access(node_id, 2)
             if self._reservations.get(page) == txn_id:
                 del self._reservations[page]
             held.pop(page, None)
@@ -931,12 +820,11 @@ class MvccProtocol(CCProtocol):
         entry = self._table_for(page).peek(page)
         if entry is None:
             return
-        if self._gem_mode:
-            yield from self._entry_ops(node_id, 2)
+        if self.store is not None:
+            yield from self.store.access(node_id, 2)
+            self.store.written_back(page, version)
         if entry.owner == node_id and entry.seqno == version:
             entry.owner = None
-        if self._rdma is not None:
-            self._rdma.written_back(page, version)
 
     # -- fault injection ---------------------------------------------------
 
@@ -944,15 +832,12 @@ class MvccProtocol(CCProtocol):
         return tuple(self.tables)
 
     def crash_node(self, faults: "FaultManager", record: "CrashRecord") -> None:
-        if self._gem_mode:
-            # Directory, reservations and timestamp counter live in
-            # non-volatile GEM (or the pool) and survive; recovery only
-            # has to clean up on behalf of the dead transactions.  Under
-            # disaggregation, pages whose committed version is
-            # pool-resident did not die with the node's buffer: trim
-            # them from the lost set before the REDO fences go up.
-            if self._rdma is not None:
-                self._rdma.trim_lost(record)
+        if self.store is not None:
+            # Directory, reservations and timestamp counter live in the
+            # non-volatile store and survive; recovery only has to clean
+            # up on behalf of the dead transactions.  Pages the store
+            # still holds did not die with the node's buffer.
+            self.store.trim_lost(record)
             return
         home = record.node
         faults.close_partition(home)
@@ -987,9 +872,10 @@ class MvccProtocol(CCProtocol):
     ) -> Generator[Event, Any, None]:
         """Failover: clean up after the dead transactions, then REDO.
 
-        GEM: the directory survived; the coordinator drops the dead
+        Shared store: the directory survived; once the store lets the
+        dead node's words be reclaimed, the coordinator drops the dead
         transactions' reservations and reconciles their entries with
-        the committed ledger -- plain entry accesses, no messages.
+        the committed ledger -- plain word accesses, no messages.
         PCL: the replacement host announces the failover, clears dead
         reservations, receives one long directory-state message per
         other survivor and REDOes the lost pages before reopening the
@@ -1001,18 +887,15 @@ class MvccProtocol(CCProtocol):
         ledger = self.cluster.ledger
         cfg = faults.config
         dead_ids = sorted({txn.txn_id for txn in record.killed})
-        if self._gem_mode:
-            if self._rdma is not None:
-                # The dead node's pool-resident reservation words are
-                # reclaimable only after its lease expired (no server
-                # can revoke one-sided state earlier).
-                yield from self._rdma.lease_wait(record)
+        store = self.store
+        if store is not None:
+            yield from store.lease_wait(record)
             for txn_id in dead_ids:
                 pages = sorted(
                     p for p, h in self._reservations.items() if h == txn_id
                 )
                 for page in pages:
-                    yield from self._entry_ops(coord, 2)
+                    yield from store.access(coord, 2)
                     yield from coord_node.cpu.consume(
                         cfg.recovery_instructions_per_lock
                     )
@@ -1027,7 +910,7 @@ class MvccProtocol(CCProtocol):
             ):
                 if page in record.lost:
                     continue
-                yield from self._entry_ops(coord, 1)
+                yield from store.access(coord, 1)
                 directory._entries[page].owner = None
             yield from faults.redo_pages(record, coord)
             for entry in directory._entries.values():
@@ -1085,13 +968,12 @@ class MvccProtocol(CCProtocol):
     def reintegrate(
         self, faults: "FaultManager", record: "CrashRecord"
     ) -> Generator[Event, Any, None]:
-        """GEM: nothing to do (directory state never moved).  RDMA: the
-        restarted node re-registers with the fabric.  PCL: partition
-        failback -- flush the interim host's committed dirty pages of
-        the partition and ship the directory back."""
-        if self._gem_mode:
-            if self._rdma is not None:
-                yield from self._rdma.reintegrate(record)
+        """Shared store: the directory state never moved; only the store
+        re-admits the node (RDMA: fabric re-registration).  PCL:
+        partition failback -- flush the interim host's committed dirty
+        pages of the partition and ship the directory back."""
+        if self.store is not None:
+            yield from self.store.reintegrate(record)
             return
         home = record.node
         host = faults.gla_host(home)
@@ -1143,22 +1025,24 @@ class MvccProtocol(CCProtocol):
 
     def lock_stats(self) -> Dict[str, float]:
         total = self.local_lock_requests + self.remote_lock_requests
+        store = self.store
         return {
             "local_share": self.local_lock_requests / total if total else 1.0,
             "remote_lock_requests": float(self.remote_lock_requests),
             "lock_requests": float(total),
             "mean_lock_wait": self.lock_wait_time.mean,
-            "page_requests": float(self.page_requests),
-            "mean_page_request_delay": self.page_request_delay.mean,
+            "page_requests": float(store.page_requests) if store else 0.0,
+            "mean_page_request_delay": (
+                store.page_request_delay.mean if store else 0.0
+            ),
             "pages_supplied_with_grant": float(self.pages_supplied_with_grant),
         }
 
     def reset_stats(self) -> None:
         self.lock_wait_time.reset()
         self.remote_grant_delay.reset()
-        self.page_request_delay.reset()
-        self.page_requests = 0
-        self.page_requests_failed = 0
+        if self.store is not None:
+            self.store.reset_stats()
         self.local_lock_requests = 0
         self.remote_lock_requests = 0
         self.pages_supplied_with_grant = 0

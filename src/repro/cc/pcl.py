@@ -835,6 +835,20 @@ class PrimaryCopyProtocol(CCProtocol):
         total = self.local_lock_requests + self.remote_lock_requests
         return self.local_lock_requests / total if total else 1.0
 
+    def lock_stats(self) -> Dict[str, float]:
+        return {
+            "local_share": self.local_share(),
+            "remote_lock_requests": float(self.remote_lock_requests),
+            "lock_requests": float(
+                self.local_lock_requests + self.remote_lock_requests
+            ),
+            "mean_lock_wait": self.lock_wait_time.mean,
+            # Pages travel with grants and releases, never on request.
+            "page_requests": 0.0,
+            "mean_page_request_delay": 0.0,
+            "pages_supplied_with_grant": float(self.pages_supplied_with_grant),
+        }
+
     def reset_stats(self) -> None:
         self.lock_wait_time.reset()
         self.remote_grant_delay.reset()

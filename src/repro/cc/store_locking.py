@@ -1,0 +1,370 @@
+"""Close coupling: 2PL with a global lock table in the shared store.
+
+Every lock request and release is processed against a **global lock
+table (GLT)** held in the cluster's shared store (section 3.2; see
+:mod:`repro.cc.store` for GEM and the RDMA pool):
+
+* Acquiring or releasing a lock is one entry update -- read the entry,
+  write the modified value back with Compare&Swap (two GEM entry
+  accesses, or one remote CAS); the accessing CPU is held for the
+  complete operation, including queuing at the store.
+* Lock conflicts register a wait in the GLT; when the holder releases,
+  it writes a grant notification per woken waiter, and the waiter
+  re-reads the entry before proceeding.
+* Coherency control rides in the same entries: page sequence numbers
+  detect buffer invalidations with no extra store traffic, and under
+  NOFORCE the entry records the current **page owner**, from whose
+  buffer (GEM) or pool copy (RDMA) a missing or stale page is fetched.
+
+GEM lock authorizations (``config.gem_lock_authorizations``, section
+2's sketched refinement) are a GEM-only path of this class.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Generator, Mapping, Optional, Tuple, TYPE_CHECKING
+
+from repro.cc.base import CCProtocol, LockGrant
+from repro.cc.messages import GltRevokePayload
+from repro.cc.store import SharedStore, shared_store
+from repro.db.pages import PageId
+from repro.errors import TransactionAborted
+from repro.obs import phases
+from repro.node.lock_table import LockMode, LockTable
+from repro.sim.engine import Event
+from repro.sim.stats import Tally
+from repro.workload.transaction import Transaction
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.manager import CrashRecord, FaultManager
+    from repro.node.node import Node
+    from repro.system.cluster import Cluster
+
+__all__ = ["StoreLockingProtocol"]
+
+
+class StoreLockingProtocol(CCProtocol):
+    """Global lock table in the shared store, synchronous entry updates."""
+
+    def __init__(self, cluster: "Cluster") -> None:
+        store = shared_store(cluster)
+        if store is None:
+            raise ValueError("StoreLockingProtocol requires a shared store")
+        self.store: SharedStore = store
+        #: Named after the coupling, like PCL's "pcl".
+        self.name = cluster.config.coupling.value
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.config = cluster.config
+        self.detector = cluster.detector
+        self.recorder = cluster.recorder
+        self.glt = LockTable("glt")
+        self._lock_op_instr = self.config.instructions_per_lock_op
+        self._auth = self.config.gem_lock_authorizations
+        self._noforce = self.config.noforce
+        self.lock_wait_time = Tally("glt.lock_wait")
+        self.authorized_lock_requests = 0
+        self.authorization_revocations = 0
+        if self._auth:
+            for node in cluster.nodes:
+                node.register_handler("glt_revoke", self._handle_authorization_revoke)
+
+    # -- lock acquisition ------------------------------------------------------
+
+    def acquire(
+        self,
+        txn: Transaction,
+        page: PageId,
+        write: bool,
+        cached_version: Optional[int],
+    ) -> Generator[Event, Any, LockGrant]:
+        node_id = txn.node
+        txn_id = txn.txn_id
+        node = self.cluster.nodes[node_id]
+        mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
+        authorized = self._auth and page in node.gem_auth
+        if authorized:
+            # Sole-interest refinement (section 2): the local lock
+            # manager processes the request without any GEM access.
+            self.authorized_lock_requests += 1
+            yield from node.cpu.consume(self._lock_op_instr)
+        else:
+            # Update the GLT entry: grant registered, or wait registered
+            # on conflict.
+            yield from self.store.update(node_id, 1, txn_id)
+            if self._auth:
+                holder = min(self.glt.entry(page).auth_nodes, default=None)
+                if holder is not None and holder != node_id:
+                    with self.recorder.span(txn_id, phases.COMM):
+                        yield from self._revoke_authorization(node, page, holder)
+        # Created lazily: immediate grants (the common case) never
+        # invoke on_grant, so the wait event would be garbage.
+        wait_event: Optional[Event] = None
+
+        def on_grant() -> None:
+            self.detector.clear(txn_id)
+            assert wait_event is not None  # created before any queueing
+            wait_event.succeed()
+
+        granted = self.glt.request(txn_id, page, mode, on_grant)
+        if not granted:
+            wait_event = self.sim.event()
+            blocked_at = self.sim.now
+
+            def abort_victim() -> None:
+                self.glt.cancel(txn_id, page)
+                wait_event.fail(TransactionAborted(txn_id))
+
+            self.detector.register_block(txn_id, self.glt, abort_victim)
+            # The GLT is the global lock authority: waits here are
+            # global lock waits in the breakdown.
+            with self.recorder.span(txn_id, phases.LOCK_GLOBAL):
+                yield wait_event  # raises TransactionAborted if chosen victim
+            self.lock_wait_time.record(self.sim.now - blocked_at)
+            if not authorized:
+                # Re-read the entry after wake-up to observe the grant.
+                yield from self.store.reread(node_id, 1, txn_id)
+        txn.held_locks[page] = write or txn.held_locks.get(page, False)
+        txn.local_lock_requests += 1
+        entry = self.glt.entry(page)
+        if (
+            self._auth
+            and not authorized
+            and len(entry.holders) == 1
+            and not entry.queue
+        ):
+            # Sole interest: authorize this node's local lock manager.
+            entry.auth_nodes.clear()
+            entry.auth_nodes.add(node_id)
+            node.gem_auth.add(page)
+        return self.store.grant(node_id, page, entry.seqno, entry.owner)
+
+    def request_page_from_owner(
+        self, txn: Transaction, page: PageId, grant: LockGrant
+    ) -> Generator[Event, Any, Optional[int]]:
+        version = yield from self.store.fetch(txn, page, grant)
+        return version
+
+    # -- GEM lock authorizations ------------------------------------------------
+
+    def _revoke_authorization(
+        self, node: "Node", page: PageId, holder: int
+    ) -> Generator[Event, Any, None]:
+        """Another node holds the lock authorization: revoke it.
+
+        The holder flushes its local lock state to the GLT (one entry
+        update) and acknowledges; the requester then re-reads the entry
+        before proceeding.
+        """
+        self.authorization_revocations += 1
+        ack = self.sim.event()
+        faults = self.cluster.faults
+        if faults is not None:
+            # A crash of the holder clears its authorization in
+            # crash_node; answer the ack so the requester proceeds.
+            faults.watch(holder, ack)
+        revoke: GltRevokePayload = {
+            "page": page,
+            "ack": ack,
+            "requester": node.node_id,
+        }
+        yield from node.comm.send(holder, "glt_revoke", revoke)
+        yield ack
+        if faults is not None:
+            faults.unwatch(holder, ack)
+        yield from self.store.reread(node.node_id, 1)
+
+    def _handle_authorization_revoke(
+        self, node: "Node", payload: Mapping[str, Any]
+    ) -> Generator[Event, Any, None]:
+        page = payload["page"]
+        node.gem_auth.discard(page)
+        entry = self.glt.peek(page)
+        if entry is not None:
+            entry.auth_nodes.discard(node.node_id)
+        # Flush the locally processed lock state back to the GLT.
+        yield from self.store.update(node.node_id)
+        yield from node.comm.send(
+            payload["requester"], "glt_revoke_ack", {}, reply_event=payload["ack"]
+        )
+
+    # -- release ---------------------------------------------------------------
+
+    def commit_release(self, txn: Transaction) -> Generator[Event, Any, None]:
+        node_id = txn.node
+        node = self.cluster.nodes[node_id]
+        store = self.store
+        # Publish the committed pages *before* releasing any lock: a
+        # grantee woken by the release must find them (RDMA pool).
+        if self._noforce and txn.modified:
+            yield from store.install(node_id, sorted(txn.modified.items()))
+        # No defensive copy: only the owning transaction's process
+        # mutates held_locks, and it is suspended in this generator.
+        for page in txn.held_locks:
+            authorized = self._auth and page in node.gem_auth
+            if authorized:
+                yield from node.cpu.consume(self._lock_op_instr)
+            else:
+                yield from store.update(node_id)
+            entry = self.glt.entry(page)
+            new_version = txn.modified.get(page)
+            if new_version is not None:
+                entry.seqno = new_version
+                entry.owner = node_id if self._noforce else None
+            granted = self.glt.release(txn.txn_id, page)
+            if granted and not authorized:
+                # One grant notification per woken waiter.
+                yield from store.reread(node_id, len(granted))
+        txn.held_locks.clear()
+
+    def abort_release(self, txn: Transaction) -> Generator[Event, Any, None]:
+        # Idempotent and interruption-safe: pages are popped from
+        # held_locks as they are released (not cleared in one sweep at
+        # the end), and a page whose GLT entry is already gone -- a
+        # racing crash-induced abort released it, or this generator was
+        # interrupted mid-release and re-run -- is skipped instead of
+        # double-released (LockTable.release raises on unheld pages).
+        node_id = txn.node
+        node = self.cluster.nodes[node_id]
+        txn_id = txn.txn_id
+        held = txn.held_locks
+        while held:
+            page = next(iter(held))  # insertion order, like the old loop
+            if self.glt.holds(txn_id, page) is None:
+                held.pop(page, None)
+                continue
+            authorized = self._auth and page in node.gem_auth
+            if authorized:
+                yield from node.cpu.consume(self._lock_op_instr)
+            else:
+                yield from self.store.update(node_id)
+            # Re-check after yielding: a crash-path abort may have
+            # raced this release while the entry update was queued.
+            if self.glt.holds(txn_id, page) is not None:
+                granted = self.glt.release(txn_id, page)
+            else:
+                granted = []
+            held.pop(page, None)
+            if granted and not authorized:
+                yield from self.store.reread(node_id, len(granted))
+
+    # -- write-back hook ----------------------------------------------------------
+
+    def page_written_back(
+        self, node_id: int, page: PageId, version: int
+    ) -> Generator[Event, Any, None]:
+        """Clear page ownership after a committed dirty page reached
+        disk (storage is current again)."""
+        if self.config.force:
+            return
+        entry = self.glt.peek(page)
+        if entry is None:
+            return
+        yield from self.store.update(node_id)
+        if entry.owner == node_id and entry.seqno == version:
+            entry.owner = None
+        self.store.written_back(page, version)
+
+    # -- fault injection -----------------------------------------------------
+
+    def lock_tables(self) -> Tuple[LockTable, ...]:
+        return (self.glt,)
+
+    def crash_node(self, faults: "FaultManager", record: "CrashRecord") -> None:
+        """Synchronous teardown: the node's lock authorizations die.
+
+        The GLT itself lives in the non-volatile store and survives --
+        the close-coupling availability advantage the paper argues
+        (section 5): no lock state is lost with a node.
+        """
+        if self._auth:
+            self.cluster.nodes[record.node].gem_auth.clear()
+            for entry in self.glt._entries.values():
+                entry.auth_nodes.discard(record.node)
+        self.store.trim_lost(record)
+
+    def recover(
+        self, faults: "FaultManager", record: "CrashRecord"
+    ) -> Generator[Event, Any, None]:
+        """Failover with a surviving GLT: release the dead node's locks.
+
+        Once the store lets the dead node's entries be reclaimed (RDMA:
+        its lease expired), the coordinator scans the intact GLT for
+        locks held by the crashed node's transactions, makes each
+        entry's sequence number consistent with the ledger, and
+        releases -- plain entry updates, no lock-state reconstruction
+        and no inter-node messages.  Then it REDOes the lost pages from
+        the dead node's log.
+        """
+        store = self.store
+        yield from store.lease_wait(record)
+        coord = faults.coordinator()
+        coord_node = self.cluster.nodes[coord]
+        ledger = self.cluster.ledger
+        for txn in record.killed:
+            # The GLT is authoritative: a lock granted in the table just
+            # before the crash may never have reached txn.held_locks
+            # (the requester died between the table grant and its local
+            # registration), so scan the table rather than trust the
+            # dead transaction's bookkeeping.
+            pages = set(txn.held_locks)
+            pages.update(self.glt.held_pages(txn.txn_id))
+            for page in sorted(pages):
+                if self.glt.holds(txn.txn_id, page) is None:
+                    continue
+                yield from store.update(coord)
+                yield from coord_node.cpu.consume(
+                    faults.config.recovery_instructions_per_lock
+                )
+                entry = self.glt.entry(page)
+                entry.seqno = max(entry.seqno, ledger.committed_version(page))
+                granted = self.glt.release(txn.txn_id, page)
+                if granted:
+                    yield from store.reread(coord, len(granted))
+        # Ownership entries pointing at the dead buffer are void.  For
+        # non-lost pages the permanent copy is current, so clear them
+        # now; lost pages keep readers fenced until REDO restores them.
+        for page in sorted(
+            p for p, e in self.glt._entries.items() if e.owner == record.node
+        ):
+            if page in record.lost:
+                continue
+            yield from store.access(coord, 1)
+            self.glt._entries[page].owner = None
+        yield from faults.redo_pages(record, coord)
+        for entry in self.glt._entries.values():
+            if entry.owner == record.node:
+                entry.owner = None
+
+    def reintegrate(
+        self, faults: "FaultManager", record: "CrashRecord"
+    ) -> Generator[Event, Any, None]:
+        """GEM: nothing to rebuild, the restarted node finds its lock
+        state in the store (the reintegration gap versus PCL's GLA
+        failback).  RDMA: fabric re-registration first."""
+        yield from self.store.reintegrate(record)
+
+    # -- statistics -------------------------------------------------------------
+
+    def lock_stats(self) -> Dict[str, float]:
+        store = self.store
+        return {
+            # Store accesses are message-free: every request is local.
+            "local_share": 1.0,
+            "remote_lock_requests": 0.0,
+            # Requests issued in the window (GLT count), granted or not.
+            "lock_requests": float(self.glt.requests),
+            "mean_lock_wait": self.lock_wait_time.mean,
+            "page_requests": float(store.page_requests),
+            "mean_page_request_delay": store.page_request_delay.mean,
+            "pages_supplied_with_grant": 0.0,
+        }
+
+    def reset_stats(self) -> None:
+        self.lock_wait_time.reset()
+        self.store.reset_stats()
+        self.glt.requests = 0
+        self.glt.immediate_grants = 0
+        self.glt.waits = 0
+        self.authorized_lock_requests = 0
+        self.authorization_revocations = 0

@@ -4,8 +4,9 @@ GEM is a non-volatile, shared semiconductor store with a page- and
 entry-oriented access interface (section 2).  Accesses are synchronous:
 the accessing node's CPU stays busy for the complete access, including
 any queuing delay at the GEM server.  The *caller* is therefore
-responsible for holding a CPU unit around :meth:`access_page` /
-:meth:`access_entry`; this module only models the GEM server itself.
+responsible for holding a CPU unit around each access (entry accesses
+are chained CPU-then-server by :class:`repro.cc.store.GemStore`); this
+module only models the GEM server itself.
 """
 
 from __future__ import annotations
@@ -51,20 +52,6 @@ class GemDevice:
         """
         self.page_accesses += 1
         return self.server.acquire(self.page_access_time)
-
-    def access_entry(self) -> Iterator[Event]:
-        """One synchronous entry read or Compare&Swap write."""
-        self.entry_accesses += 1
-        return self.server.acquire(self.entry_access_time)
-
-    def access_entries(self, count: int) -> Iterator[Event]:
-        """``count`` back-to-back entry accesses (held as one service)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return iter(())
-        self.entry_accesses += count
-        return self.server.acquire(count * self.entry_access_time)
 
     def utilization(self) -> float:
         return self.server.utilization()

@@ -12,8 +12,9 @@ message exchange with the owning node.
 
 Accesses are synchronous like GEM accesses: the issuing node's CPU
 stays busy for the complete verb, including queuing at the fabric.
-The *caller* holds a CPU unit around every ``cas``/``read_page``/
-``write_page``; this module only models fabric occupancy.
+The caller (:class:`repro.cc.store.RdmaStore`) chains the CPU and a
+fabric channel for every verb and counts it here; this module only
+models fabric occupancy.
 
 The module-level ``DEFAULT_*`` constants are the cost model
 (micro-benchmark figures typical of one-sided RDMA on a modern
@@ -23,9 +24,9 @@ defaults of its ``rdma_*`` fields.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 
 __all__ = [
@@ -66,8 +67,8 @@ class RdmaFabric:
 
     A multi-channel queued resource with deterministic service times
     (the pool side is passive memory; there is no seek/rotation
-    variance).  Mirrors :class:`repro.devices.gem.GemDevice` so the
-    protocols can swap the cost model without changing structure.
+    variance).  Mirrors :class:`repro.devices.gem.GemDevice`: the verb
+    times are the cost model, the counters record the verbs issued.
     """
 
     def __init__(
@@ -93,43 +94,6 @@ class RdmaFabric:
         self.entry_reads = 0
         self.page_reads = 0
         self.page_writes = 0
-
-    def cas(self, count: int = 1) -> Iterator[Event]:
-        """``count`` back-to-back remote CAS verbs (caller holds its CPU).
-
-        Returns the channel's acquire generator directly, like
-        :meth:`GemDevice.access_entries`, so callers delegate with
-        ``yield from`` without an extra wrapper frame.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return iter(())
-        self.cas_ops += count
-        return self.channel.acquire(count * self.cas_time)
-
-    def read_entry(self, count: int = 1) -> Iterator[Event]:
-        """``count`` one-sided small reads (lock word / directory entry)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return iter(())
-        self.entry_reads += count
-        return self.channel.acquire(count * self.read_time)
-
-    def read_page(self) -> Iterator[Event]:
-        """One one-sided page read from the pool."""
-        self.page_reads += 1
-        return self.channel.acquire(self.page_read_time)
-
-    def write_pages(self, count: int = 1) -> Iterator[Event]:
-        """``count`` one-sided page writes into the pool (commit install)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return iter(())
-        self.page_writes += count
-        return self.channel.acquire(count * self.page_write_time)
 
     def utilization(self) -> float:
         return self.channel.utilization()

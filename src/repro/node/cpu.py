@@ -7,8 +7,8 @@ overhead, I/O overhead -- is expressed in instructions and converted to
 service time here.
 
 Synchronous GEM accesses keep the CPU busy for the complete access
-(section 2); model code uses :meth:`request`/:meth:`release` to hold a
-CPU unit across such a compound operation.
+(section 2); model code holds :attr:`CpuPool.resource` across such a
+compound operation with :func:`repro.sim.resources.held_chain`.
 """
 
 from __future__ import annotations
@@ -70,24 +70,6 @@ class CpuPool:
         if instructions:
             return self.resource.acquire(instructions / self.speed)
         return iter(())
-
-    # -- compound operations (synchronous GEM access) -------------------
-
-    def request(self) -> Event:
-        """Acquire one CPU unit; pair with :meth:`release`."""
-        return self.resource.request()
-
-    def grab(self) -> Iterator[Event]:
-        """Wait for one CPU unit, cancel-safe; pair with :meth:`release`."""
-        return self.resource.grab()
-
-    def release(self) -> None:
-        self.resource.release()
-
-    def busy_work(self, instructions: float) -> Event:
-        """Timeout for ``instructions`` of work on an *already held* CPU."""
-        self.instructions_executed += instructions
-        return self.sim.timeout(self.service_time(instructions))
 
     # -- statistics -----------------------------------------------------
 

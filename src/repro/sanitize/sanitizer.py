@@ -374,14 +374,12 @@ class SimSanitizer:
     # -- RDMA pool vs ledger ----------------------------------------------
 
     def _check_pool(self, cluster: Any) -> None:
-        helper = getattr(cluster.protocol, "rdma", None)
-        if helper is None:
-            helper = getattr(cluster.protocol, "_rdma", None)
-        if helper is None or not hasattr(helper, "pool"):
+        store = getattr(cluster.protocol, "store", None)
+        if store is None or not hasattr(store, "pool"):
             return
         report = self.report
         ledger = cluster.ledger
-        for page, version in helper.pool.items():
+        for page, version in store.pool.items():
             report.pool_pages_checked += 1
             committed = ledger.committed_version(page)
             if version > committed:

@@ -537,6 +537,9 @@ def _chain_stage3(entry: Event) -> None:
     state.inner.release()
     state.outer.release()
     done = state.done
+    # Break the done <-> state cycle (as hold_seq does): the collector
+    # is suspended during runs, so cyclic garbage would pile up.
+    done.data = None
     callbacks = done.callbacks
     done.callbacks = None
     if callbacks:

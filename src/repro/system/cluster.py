@@ -13,9 +13,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cc.deadlock import DeadlockDetector
 from repro.cc.dgcc import DgccProtocol
-from repro.cc.gem_locking import GemLockingProtocol
 from repro.cc.mvcc import MvccProtocol
 from repro.cc.pcl import PrimaryCopyProtocol
+from repro.cc.store_locking import StoreLockingProtocol
 from repro.db.debitcredit import DebitCreditLayout
 from repro.db.pages import PageId, VersionLedger
 from repro.db.schema import Database, Partition, StorageKind
@@ -27,7 +27,6 @@ from repro.devices.rdma import RdmaFabric
 from repro.devices.storage import StorageDirectory
 from repro.faults.manager import FaultManager
 from repro.node.node import Node
-from repro.node.rdma import RdmaLockingProtocol
 from repro.node.transaction_manager import TransactionManager
 from repro.obs.recorder import NULL_RECORDER, PhaseRecorder
 from repro.sanitize import (
@@ -138,19 +137,18 @@ class Cluster:
             Node(self.sim, node_id, self) for node_id in range(config.num_nodes)
         ]
         # -- protocol -------------------------------------------------------
-        # The 2PL row of the protocol matrix keeps the paper's two
-        # regime-specific implementations; MVCC and DGCC are single
-        # implementations parameterized by the coupling's cost model.
+        # Each protocol is written once against the coupling: 2PL is
+        # the paper's GLT in the shared store (GEM, RDMA) or primary
+        # copy locking (PCL); MVCC and DGCC take the shared store, if
+        # any, from the coupling themselves.
         if config.protocol == "mvcc":
             self.protocol = MvccProtocol(self, self._gla_map)
         elif config.protocol == "dgcc":
             self.protocol = DgccProtocol(self, self._gla_map)
-        elif config.coupling is Coupling.GEM:
-            self.protocol = GemLockingProtocol(self)
-        elif config.coupling is Coupling.RDMA:
-            self.protocol = RdmaLockingProtocol(self)
-        else:
+        elif config.coupling is Coupling.PCL:
             self.protocol = PrimaryCopyProtocol(self, self._gla_map)
+        else:
+            self.protocol = StoreLockingProtocol(self)
         for node in self.nodes:
             node.protocol = self.protocol
             node.tm = TransactionManager(node)
@@ -378,32 +376,14 @@ class Cluster:
             hit_ratios[partition.name] = hits / accesses if accesses else 0.0
             invalidations[partition.name] = invals / completed if completed else 0.0
         # -- locks ----------------------------------------------------------
-        protocol = self.protocol
-        if isinstance(protocol, PrimaryCopyProtocol):
-            local_share = protocol.local_share()
-            remote_locks = protocol.remote_lock_requests
-            total_locks = protocol.local_lock_requests + remote_locks
-            lock_wait = protocol.lock_wait_time.mean
-            page_req = 0
-            page_req_delay = 0.0
-            supplied = protocol.pages_supplied_with_grant
-        elif isinstance(protocol, GemLockingProtocol):
-            local_share = 1.0
-            remote_locks = 0
-            total_locks = protocol.glt.requests
-            lock_wait = protocol.lock_wait_time.mean
-            page_req = protocol.page_requests
-            page_req_delay = protocol.page_request_delay.mean
-            supplied = 0
-        else:
-            stats = protocol.lock_stats()
-            local_share = stats["local_share"]
-            remote_locks = int(stats["remote_lock_requests"])
-            total_locks = int(stats["lock_requests"])
-            lock_wait = stats["mean_lock_wait"]
-            page_req = int(stats["page_requests"])
-            page_req_delay = stats["mean_page_request_delay"]
-            supplied = int(stats["pages_supplied_with_grant"])
+        stats = self.protocol.lock_stats()
+        local_share = stats["local_share"]
+        remote_locks = int(stats["remote_lock_requests"])
+        total_locks = int(stats["lock_requests"])
+        lock_wait = stats["mean_lock_wait"]
+        page_req = int(stats["page_requests"])
+        page_req_delay = stats["mean_page_request_delay"]
+        supplied = int(stats["pages_supplied_with_grant"])
         per_txn = (1.0 / completed) if completed else 0.0
         return RunResult(
             num_nodes=config.num_nodes,

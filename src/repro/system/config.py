@@ -274,14 +274,15 @@ class SystemConfig:
     #: paper enables this for the trace experiments.
     pcl_read_optimization: bool = False
     #: Exchange NOFORCE page transfers through GEM instead of the
-    #: network (extension discussed in the paper's conclusions).
+    #: network (extension discussed in the paper's conclusions); every
+    #: protocol's owner page fetch honours it.  GEM coupling only.
     page_transfer_via_gem: bool = False
     #: GEM locking refinement (section 2): authorize a node's local
     #: lock manager to process lock requests on pages of sole interest
     #: without any GEM access; other nodes' requests revoke the
     #: authorization with a message exchange.  The paper evaluates the
     #: simple scheme (every request against the GLT); this is the
-    #: sketched refinement as an ablation.
+    #: sketched refinement as an ablation.  GEM coupling with 2PL only.
     gem_lock_authorizations: bool = False
     #: CPU instructions for processing a lock request/release in a
     #: local lock manager (0 = included in the path length, as the
@@ -328,6 +329,14 @@ class SystemConfig:
             raise ValueError("workload='synthetic' requires a synthetic spec")
         if self.protocol not in ("2pl", "mvcc", "dgcc"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.gem_lock_authorizations and (
+            self.coupling is not Coupling.GEM or self.protocol != "2pl"
+        ):
+            raise ValueError(
+                "gem_lock_authorizations requires coupling='gem' and protocol='2pl'"
+            )
+        if self.page_transfer_via_gem and self.coupling is not Coupling.GEM:
+            raise ValueError("page_transfer_via_gem requires coupling='gem'")
         if self.rdma_channels < 1:
             raise ValueError("rdma_channels must be >= 1")
         if self.rdma_lock_lease_seconds < 0:

@@ -156,7 +156,7 @@ class TestCoherency:
             return version
 
         assert drive(cluster, proc()) is None
-        assert cluster.protocol.page_requests_failed == 1
+        assert cluster.protocol.store.page_requests_failed == 1
 
     def test_write_back_hook_clears_owner(self):
         cluster = make_cluster(update_strategy="noforce")

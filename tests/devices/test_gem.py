@@ -4,6 +4,9 @@ import pytest
 
 from repro.devices.gem import GemDevice
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
+
+from tests.helpers import drive_cluster, quiesced_cluster
 
 
 @pytest.fixture
@@ -24,46 +27,31 @@ class TestAccessTimes:
         sim.run()
         assert done == [pytest.approx(50e-6)]
 
-    def test_entry_access_time(self, sim):
-        gem = GemDevice(sim, entry_access_time=2e-6)
-        done = []
+    # Entry accesses are issued by the shared-store substrate (one
+    # chained CPU-then-server access); the device keeps the counter.
 
-        def proc():
-            yield from gem.access_entry()
-            done.append(sim.now)
+    def test_entry_access_time(self):
+        cluster = quiesced_cluster(gem_entry_access_time=2e-6)
+        drive_cluster(cluster, cluster.protocol.store.access(0, 1))
+        assert cluster.gem.entry_accesses == 1
+        assert cluster.gem.busy_time() == pytest.approx(2e-6)
 
-        sim.process(proc())
-        sim.run()
-        assert done == [pytest.approx(2e-6)]
+    def test_batched_entry_accesses(self):
+        cluster = quiesced_cluster(gem_entry_access_time=2e-6)
+        drive_cluster(cluster, cluster.protocol.store.access(0, 5))
+        assert cluster.gem.entry_accesses == 5
+        assert cluster.gem.busy_time() == pytest.approx(10e-6)
 
-    def test_batched_entry_accesses(self, sim):
-        gem = GemDevice(sim, entry_access_time=2e-6)
-        done = []
+    def test_zero_entries_is_noop(self):
+        cluster = quiesced_cluster()
+        drive_cluster(cluster, cluster.protocol.store.access(0, 0))
+        assert cluster.gem.entry_accesses == 0
+        assert cluster.gem.busy_time() == 0.0
 
-        def proc():
-            yield from gem.access_entries(5)
-            done.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert done == [pytest.approx(10e-6)]
-        assert gem.entry_accesses == 5
-
-    def test_zero_entries_is_noop(self, sim):
-        gem = GemDevice(sim)
-
-        def proc():
-            yield from gem.access_entries(0)
-            yield sim.timeout(0)
-
-        sim.process(proc())
-        sim.run()
-        assert gem.entry_accesses == 0
-
-    def test_negative_entries_rejected(self, sim):
-        gem = GemDevice(sim)
-        with pytest.raises(ValueError):
-            list(gem.access_entries(-1))
+    def test_negative_entries_rejected(self):
+        cluster = quiesced_cluster()
+        with pytest.raises(SimulationError):
+            next(cluster.protocol.store.access(0, -1))
 
     def test_negative_access_time_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -109,15 +97,16 @@ class TestQueuing:
         sim.run(until=0.2)
         assert gem.utilization() == pytest.approx(0.5)
 
-    def test_reset_stats(self, sim):
-        gem = GemDevice(sim)
+    def test_reset_stats(self):
+        cluster = quiesced_cluster()
+        gem = cluster.gem
 
         def proc():
             yield from gem.access_page()
-            yield from gem.access_entry()
+            yield from cluster.protocol.store.access(0, 1)
 
-        sim.process(proc())
-        sim.run()
+        drive_cluster(cluster, proc())
+        assert gem.page_accesses == 1 and gem.entry_accesses == 1
         gem.reset_stats()
         assert gem.page_accesses == 0
         assert gem.entry_accesses == 0

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.cc.base import LockGrant
 from repro.devices.rdma import RdmaFabric
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
+
+from tests.helpers import drive_cluster, make_rdma_cluster, make_txn
+
+PAGE = (0, 7)
 
 
 @pytest.fixture
@@ -12,74 +18,60 @@ def sim():
 
 
 class TestVerbTimes:
-    def test_cas_time(self, sim):
-        fabric = RdmaFabric(sim, cas_time=3e-6)
-        done = []
+    # Verbs are issued by the shared-store substrate (one chained
+    # CPU-then-channel access each); the fabric keeps the counters.
 
-        def proc():
-            yield from fabric.cas()
-            done.append(sim.now)
+    def test_cas_time(self):
+        cluster = make_rdma_cluster(rdma_cas_time=3e-6)
+        drive_cluster(cluster, cluster.protocol.store.access(0, 1))
+        assert cluster.rdma.cas_ops == 1
+        assert cluster.rdma.busy_time() == pytest.approx(3e-6)
 
-        sim.process(proc())
-        sim.run()
-        assert done == [pytest.approx(3e-6)]
-        assert fabric.cas_ops == 1
+    def test_batched_cas(self):
+        cluster = make_rdma_cluster(rdma_cas_time=3e-6)
+        drive_cluster(cluster, cluster.protocol.store.access(0, 4))
+        assert cluster.rdma.cas_ops == 4
+        assert cluster.rdma.busy_time() == pytest.approx(12e-6)
 
-    def test_batched_cas(self, sim):
-        fabric = RdmaFabric(sim, cas_time=3e-6)
-        done = []
-
-        def proc():
-            yield from fabric.cas(4)
-            done.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert done == [pytest.approx(12e-6)]
-        assert fabric.cas_ops == 4
-
-    def test_entry_read_and_page_verbs(self, sim):
-        fabric = RdmaFabric(
-            sim, read_time=2e-6, page_read_time=8e-6, page_write_time=10e-6
+    def test_entry_read_and_page_verbs(self):
+        cluster = make_rdma_cluster(
+            rdma_read_time=2e-6, rdma_page_read_time=8e-6, rdma_page_write_time=10e-6
         )
-        done = []
+        store = cluster.protocol.store
 
-        def proc():
-            yield from fabric.read_entry()
-            yield from fabric.read_page()
-            yield from fabric.write_pages(2)
-            done.append(sim.now)
+        def verbs():
+            yield from store.reread(0, 1)
+            yield from store.install(0, [(PAGE, 1), ((0, 8), 1)])
+            yield from store.fetch(make_txn(1, node=1), PAGE, LockGrant(1))
 
-        sim.process(proc())
-        sim.run()
-        assert done == [pytest.approx(2e-6 + 8e-6 + 20e-6)]
+        drive_cluster(cluster, verbs())
+        fabric = cluster.rdma
+        assert fabric.busy_time() == pytest.approx(2e-6 + 20e-6 + 8e-6)
         assert fabric.entry_reads == 1
         assert fabric.page_reads == 1
         assert fabric.page_writes == 2
 
-    def test_zero_count_is_noop(self, sim):
-        fabric = RdmaFabric(sim)
+    def test_zero_count_is_noop(self):
+        cluster = make_rdma_cluster()
+        store = cluster.protocol.store
 
-        def proc():
-            yield from fabric.cas(0)
-            yield from fabric.read_entry(0)
-            yield from fabric.write_pages(0)
-            yield sim.timeout(0)
+        def verbs():
+            yield from store.access(0, 0)
+            yield from store.reread(0, 0)
+            yield from store.install(0, [])
 
-        sim.process(proc())
-        sim.run()
-        assert fabric.cas_ops == 0
-        assert fabric.entry_reads == 0
-        assert fabric.page_writes == 0
+        drive_cluster(cluster, verbs())
+        assert cluster.rdma.cas_ops == 0
+        assert cluster.rdma.entry_reads == 0
+        assert cluster.rdma.page_writes == 0
+        assert cluster.rdma.busy_time() == 0.0
 
-    def test_negative_count_rejected(self, sim):
-        fabric = RdmaFabric(sim)
-        with pytest.raises(ValueError):
-            list(fabric.cas(-1))
-        with pytest.raises(ValueError):
-            list(fabric.read_entry(-1))
-        with pytest.raises(ValueError):
-            list(fabric.write_pages(-1))
+    def test_negative_count_rejected(self):
+        store = make_rdma_cluster().protocol.store
+        with pytest.raises(SimulationError):
+            next(store.access(0, -1))
+        with pytest.raises(SimulationError):
+            next(store.reread(0, -1))
 
     def test_negative_verb_time_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -96,7 +88,7 @@ class TestQueuing:
         done = []
 
         def proc(tag):
-            yield from fabric.read_page()
+            yield from fabric.channel.acquire(fabric.page_read_time)
             done.append((tag, sim.now))
 
         sim.process(proc("a"))
@@ -110,7 +102,7 @@ class TestQueuing:
         done = []
 
         def proc():
-            yield from fabric.read_page()
+            yield from fabric.channel.acquire(fabric.page_read_time)
             done.append(sim.now)
 
         sim.process(proc())
@@ -122,7 +114,7 @@ class TestQueuing:
         fabric = RdmaFabric(sim, channels=1, page_read_time=0.1)
 
         def proc():
-            yield from fabric.read_page()
+            yield from fabric.channel.acquire(fabric.page_read_time)
 
         sim.process(proc())
         sim.run()

@@ -65,7 +65,7 @@ class TestPoolSurvivesTheCrash:
     def test_pool_resident_pages_leave_the_lost_set(self):
         config = crash_config()
         cluster = Cluster(config)
-        helper = cluster.protocol.rdma
+        helper = cluster.protocol.store
         trimmed = []
         real_trim = helper.trim_lost
 
@@ -88,8 +88,8 @@ class TestPoolSurvivesTheCrash:
         cluster = Cluster(config)
         crash_time = config.faults.crashes[0].time
         releases = []
-        plt = cluster.protocol.plt
-        real_release = plt.release
+        glt = cluster.protocol.glt
+        real_release = glt.release
 
         def timed_release(txn, page):
             releases.append(cluster.sim.now)
@@ -100,7 +100,7 @@ class TestPoolSurvivesTheCrash:
 
         def probing_crash(faults, record):
             killed_ids.update(t.txn_id for t in record.killed)
-            plt.release = timed_release
+            glt.release = timed_release
             return real_crash(faults, record)
 
         cluster.protocol.crash_node = probing_crash

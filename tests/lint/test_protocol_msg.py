@@ -170,7 +170,8 @@ def lint_real_cc(mutate=None):
         "repro/cc/messages.py",
         "repro/cc/mvcc.py",
         "repro/cc/dgcc.py",
-        "repro/cc/gem_locking.py",
+        "repro/cc/store.py",
+        "repro/cc/store_locking.py",
         "repro/cc/pcl.py",
     ]:
         path = REPO_SRC / rel

@@ -424,7 +424,7 @@ class TestSeededBadPatterns:
         ]
 
     def test_seeded_set_iteration_in_cc_source(self):
-        path = "src/repro/cc/gem_locking.py"
+        path = "src/repro/cc/store_locking.py"
         seeded = open(path).read() + (
             "\n\ndef _seeded_walk(entry):\n"
             "    pending = {1, 2, 3}\n"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.node.cpu import CpuPool
 from repro.sim import Simulator, StreamRegistry
+from repro.sim.resources import Resource, held_chain, held_chain_cancel
 
 
 @pytest.fixture
@@ -92,13 +93,17 @@ class TestCompoundHold:
         pool = make_pool(sim, cpus=1, mips=10.0)
         log = []
 
+        device = Resource(sim, capacity=1)
+
         def holder():
-            yield pool.request()
+            # 1ms of CPU, then a 5ms synchronous device access with the
+            # CPU still held (the shared-store access shape).
+            done = held_chain(pool.resource, device, pool.service_time(10_000), 0.005)
             try:
-                yield pool.busy_work(10_000)  # 1ms while holding
-                yield sim.timeout(0.005)  # synchronous device access
-            finally:
-                pool.release()
+                yield done
+            except BaseException:
+                held_chain_cancel(done)
+                raise
             log.append(("holder", sim.now))
 
         def other():

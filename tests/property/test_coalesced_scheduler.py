@@ -172,22 +172,32 @@ class TestHoldSeqEquivalence:
 class TestHeldChainEquivalence:
     @given(
         st.lists(
-            st.tuples(short_floats, short_floats, short_floats),
+            st.tuples(short_floats, short_floats, short_floats, st.booleans()),
             min_size=1,
             max_size=10,
-        )
+        ),
+        # Nodes run 4 CPUs (outer) and the RDMA fabric 2 channels
+        # (inner); GEM is a single server.
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_held_chain_matches_nested_formulation(self, chains):
+    @settings(max_examples=80, deadline=None)
+    def test_held_chain_matches_nested_formulation(
+        self, chains, outer_capacity, inner_capacity
+    ):
         def run(coalesced):
             sim = Simulator()
-            outer = Resource(sim, capacity=1)
-            inner = Resource(sim, capacity=1)
+            outer = Resource(sim, capacity=outer_capacity)
+            inner = Resource(sim, capacity=inner_capacity)
             completions = {}
 
-            def worker(tag, start, outer_time, inner_time):
+            def worker(tag, start, outer_time, inner_time, plain):
                 yield sim.timeout(start)
-                if coalesced:
+                if plain:
+                    # A plain user of the outer resource competing with
+                    # the chains (CPU work next to store accesses).
+                    yield from outer.acquire(outer_time)
+                elif coalesced:
                     yield held_chain(outer, inner, outer_time, inner_time)
                 else:
                     request = outer.request()
@@ -200,20 +210,21 @@ class TestHeldChainEquivalence:
                     outer.release()
                 completions[tag] = sim.now
 
-            for tag, (start, outer_time, inner_time) in enumerate(chains):
-                sim.process(worker(tag, start, outer_time, inner_time))
+            for tag, chain in enumerate(chains):
+                sim.process(worker(tag, *chain))
             sim.run()
             return (
                 completions,
                 outer.services,
                 inner.services,
                 sim.now,
-            ), outer.busy_time(sim.now)
+            ), (outer.busy_time(sim.now), inner.busy_time(sim.now))
 
         fast, fast_busy = run(coalesced=True)
         slow, slow_busy = run(coalesced=False)
         assert fast == slow
-        assert math.isclose(fast_busy, slow_busy, rel_tol=1e-9, abs_tol=1e-12)
+        for fast_time, slow_time in zip(fast_busy, slow_busy):
+            assert math.isclose(fast_time, slow_time, rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestSameTimestampOrdering:

@@ -24,6 +24,7 @@ the simulation runs in-process or inside a worker pool.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cc.store import RdmaStore
 from repro.system.cluster import Cluster
 
 from tests.helpers import make_rdma_cluster, system_config
@@ -77,10 +78,8 @@ def run_and_check(protocol, coupling, seed):
 
 
 def _rdma_helper(cluster):
-    helper = getattr(cluster.protocol, "rdma", None)
-    if helper is None:
-        helper = cluster.protocol._rdma
-    assert helper is not None
+    helper = cluster.protocol.store
+    assert isinstance(helper, RdmaStore)
     return helper
 
 
@@ -146,9 +145,9 @@ class TestRdmaNoLeakedLocks:
     @settings(max_examples=6, deadline=None)
     def test_drained_horizon_leaves_no_grants_or_waiters(self, seed):
         cluster = run_and_check("2pl", "rdma", seed)
-        plt = cluster.protocol.plt
-        assert plt.num_blocked() == 0
-        for page, entry in sorted(plt._entries.items()):
+        glt = cluster.protocol.glt
+        assert glt.num_blocked() == 0
+        for page, entry in sorted(glt._entries.items()):
             assert not entry.holders, (
                 f"{page}: grant leaked to {sorted(entry.holders)}"
             )
@@ -196,4 +195,4 @@ class TestRdmaHelperFixture:
     def test_fixture_accepts_protocol_override(self):
         cluster = make_rdma_cluster(protocol="mvcc")
         assert cluster.protocol.name == "mvcc"
-        assert cluster.protocol._rdma is not None
+        assert isinstance(cluster.protocol.store, RdmaStore)

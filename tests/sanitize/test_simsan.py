@@ -196,7 +196,7 @@ class TestHorizonChecks:
 
     def test_torn_rdma_install_is_caught(self):
         cluster = self.run_cluster(coupling="rdma")
-        pool = cluster.protocol.rdma.pool
+        pool = cluster.protocol.store.pool
         assert pool, "rdma run must leave pages resident in the pool"
         page = next(iter(pool))
         pool[page] = cluster.ledger.committed_version(page) + 1

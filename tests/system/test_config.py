@@ -73,3 +73,70 @@ class TestValidation:
     def test_total_arrival_rate(self):
         config = SystemConfig(num_nodes=4, arrival_rate_per_node=50.0)
         assert config.total_arrival_rate == pytest.approx(200.0)
+
+
+class TestCouplingSpecificOptions:
+    """Options that only one coupling (and protocol) implements are
+    rejected elsewhere instead of being silently ignored."""
+
+    @pytest.mark.parametrize(
+        "coupling, protocol",
+        [("pcl", "2pl"), ("rdma", "2pl"), ("gem", "mvcc"), ("gem", "dgcc")],
+    )
+    def test_gem_lock_authorizations_need_gem_2pl(self, coupling, protocol):
+        with pytest.raises(ValueError, match="gem_lock_authorizations"):
+            SystemConfig(
+                coupling=coupling, protocol=protocol, gem_lock_authorizations=True
+            )
+
+    def test_gem_lock_authorizations_accepted_for_gem_2pl(self):
+        config = SystemConfig(coupling="gem", gem_lock_authorizations=True)
+        assert config.gem_lock_authorizations
+
+    @pytest.mark.parametrize("coupling", ["pcl", "rdma"])
+    def test_page_transfer_via_gem_needs_gem(self, coupling):
+        with pytest.raises(ValueError, match="page_transfer_via_gem"):
+            SystemConfig(coupling=coupling, page_transfer_via_gem=True)
+
+    @pytest.mark.parametrize("protocol", ["2pl", "mvcc", "dgcc"])
+    def test_page_transfer_via_gem_accepted_for_every_gem_protocol(self, protocol):
+        config = SystemConfig(protocol=protocol, page_transfer_via_gem=True)
+        assert config.page_transfer_via_gem
+
+    def test_mvcc_honours_page_transfer_via_gem(self):
+        from repro.system.cluster import Cluster
+
+        def run(via_gem):
+            config = SystemConfig(
+                num_nodes=2,
+                coupling="gem",
+                protocol="mvcc",
+                routing="random",
+                update_strategy="noforce",
+                arrival_rate_per_node=40.0,
+                warmup_time=0.3,
+                measure_time=1.0,
+                page_transfer_via_gem=via_gem,
+            )
+            cluster = Cluster(config)
+            kinds = []
+            for node in cluster.nodes:
+                real_send = node.comm.send
+
+                def send(dst, kind, *args, _real=real_send, **kwargs):
+                    kinds.append(kind)
+                    return _real(dst, kind, *args, **kwargs)
+
+                node.comm.send = send
+            cluster.sim.run(until=config.warmup_time + config.measure_time)
+            return cluster, kinds
+
+        via_messages, kinds = run(False)
+        assert via_messages.protocol.store.page_requests > 0
+        assert "page_rsp" in kinds
+        via_gem, kinds = run(True)
+        assert via_gem.protocol.store.page_requests > 0
+        # Two GEM page accesses (owner write, requester read) per
+        # served transfer, and no page message at all.
+        assert via_gem.gem.page_accesses > 0
+        assert "page_req" not in kinds and "page_rsp" not in kinds
