@@ -10,15 +10,28 @@ version can be obtained if the local copy is missing or stale
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Generator, Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    Any,
+    Dict,
+    Generator,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    TYPE_CHECKING,
+)
 
 from repro.db.pages import PageId
+from repro.errors import TransactionAborted
 from repro.sim.engine import Event
 from repro.workload.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cc.store import PageOwners
     from repro.faults.manager import CrashRecord, FaultManager
-    from repro.node.lock_table import LockTable
+    from repro.node.lock_table import LockMode, LockTable
+    from repro.sim.stats import Tally
+    from repro.system.cluster import Cluster
 
 __all__ = ["PageSource", "LockGrant", "CCProtocol"]
 
@@ -78,6 +91,69 @@ class CCProtocol:
     #: check on misses.
     multiversion = False
 
+    #: The coupling substrate the protocol runs on.
+    store: "PageOwners"
+    #: Lock (or validation, batch) wait durations.
+    lock_wait_time: "Tally"
+    #: Requests processed without / with inter-node messages.
+    local_lock_requests = 0
+    remote_lock_requests = 0
+    pages_supplied_with_grant = 0
+
+    def __init__(self, cluster: "Cluster") -> None:
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.config = cluster.config
+        self.detector = cluster.detector
+        self.recorder = cluster.recorder
+
+    def _lock(
+        self,
+        txn_id: int,
+        table: "LockTable",
+        page: PageId,
+        mode: "LockMode",
+        phase: str,
+    ) -> Optional[Generator[Event, Any, None]]:
+        """Request a 2PL lock in ``table``, waiting with deadlock handling.
+
+        Immediate grants (the common case) return None -- no wait event
+        is allocated.  A conflict returns the waiting generator, which
+        raises :class:`~repro.errors.TransactionAborted` if the
+        transaction is chosen as a deadlock victim.  ``phase``
+        classifies the wait in the response-time breakdown.
+        """
+        wait_event: Optional[Event] = None
+
+        def on_grant() -> None:
+            self.detector.clear(txn_id)
+            assert wait_event is not None  # created before any queueing
+            wait_event.succeed()
+
+        if table.request(txn_id, page, mode, on_grant):
+            return None
+        wait_event = self.sim.event()
+        return self._lock_wait(txn_id, table, page, wait_event, phase)
+
+    def _lock_wait(
+        self,
+        txn_id: int,
+        table: "LockTable",
+        page: PageId,
+        wait_event: Event,
+        phase: str,
+    ) -> Generator[Event, Any, None]:
+        blocked_at = self.sim.now
+
+        def abort_victim() -> None:
+            table.cancel(txn_id, page)
+            wait_event.fail(TransactionAborted(txn_id))
+
+        self.detector.register_block(txn_id, table, abort_victim)
+        with self.recorder.span(txn_id, phase):
+            yield wait_event  # raises TransactionAborted if chosen as victim
+        self.lock_wait_time.record(self.sim.now - blocked_at)
+
     def acquire(
         self, txn: Transaction, page: PageId, write: bool, cached_version: Optional[int]
     ) -> Generator[Event, Any, LockGrant]:
@@ -98,7 +174,7 @@ class CCProtocol:
         Returns the received version, or None if ownership lapsed and
         the permanent database must be read instead.
         """
-        raise NotImplementedError
+        return self.store.fetch(txn, page, grant)
 
     def commit_release(self, txn: Transaction) -> Generator[Event, Any, None]:
         """Commit phase 2: publish new sequence numbers, release locks.
@@ -166,7 +242,41 @@ class CCProtocol:
         ``page_requests``, ``mean_page_request_delay`` and
         ``pages_supplied_with_grant``.
         """
-        raise NotImplementedError
+        total = self.local_lock_requests + self.remote_lock_requests
+        return {
+            "local_share": self.local_lock_requests / total if total else 1.0,
+            "remote_lock_requests": float(self.remote_lock_requests),
+            "lock_requests": float(total),
+            "mean_lock_wait": self.lock_wait_time.mean,
+            "page_requests": float(self.store.page_requests),
+            "mean_page_request_delay": self.store.page_request_delay.mean,
+            "pages_supplied_with_grant": float(self.pages_supplied_with_grant),
+        }
+
+    def reset_stats(self) -> None:
+        """Start a measurement window: zero the CC-path statistics."""
+        self.lock_wait_time.reset()
+        self.store.reset_stats()
+        self.local_lock_requests = 0
+        self.remote_lock_requests = 0
+        self.pages_supplied_with_grant = 0
+        for table in self.lock_tables():
+            table.requests = 0
+            table.immediate_grants = 0
+            table.waits = 0
+
+    def _reply_grant(self, seqno: int, payload: Mapping[str, Any]) -> LockGrant:
+        """The grant a remote host answered with; the current page
+        version travelled with the (long) reply when it was supplied."""
+        supplied = bool(payload.get("supplied"))
+        if supplied:
+            self.pages_supplied_with_grant += 1
+        return LockGrant(
+            seqno,
+            source=PageSource.SUPPLIED if supplied else PageSource.STORAGE,
+            local=False,
+            page_supplied=supplied,
+        )
 
     def crash_node(self, faults: "FaultManager", record: "CrashRecord") -> None:
         """Synchronous protocol bookkeeping at the instant of a crash.

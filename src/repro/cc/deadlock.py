@@ -118,31 +118,39 @@ class DeadlockDetector:
         return table.waiting_for(txn)
 
     def _find_cycle(self, start: int) -> Optional[List[int]]:
-        """DFS for a cycle containing ``start`` in the waits-for graph."""
-        path: List[int] = []
-        on_path: Set[int] = set()
-        visited: Set[int] = set()
+        """DFS for a cycle containing ``start`` in the waits-for graph.
 
-        def dfs(txn: int) -> Optional[List[int]]:
-            path.append(txn)
-            on_path.add(txn)
-            # Sorted so the DFS -- and therefore victim selection when a
-            # transaction participates in several cycles -- does not
-            # depend on set iteration order.
-            for blocker in sorted(self._edges_from(txn)):
-                if blocker == start:
-                    return list(path)
-                if blocker in on_path:
-                    # A cycle not through `start`: report the sub-path.
-                    index = path.index(blocker)
-                    return path[index:]
-                if blocker not in visited:
-                    result = dfs(blocker)
-                    if result is not None:
-                        return result
-            path.pop()
-            on_path.discard(txn)
-            visited.add(txn)
-            return None
+        A method rather than a nested closure: a self-referencing
+        closure is a reference cycle, and the simulator runs with the
+        cyclic collector suspended, so every lock wait would leak one.
+        """
+        return self._dfs(start, start, [], set(), set())
 
-        return dfs(start)
+    def _dfs(
+        self,
+        txn: int,
+        start: int,
+        path: List[int],
+        on_path: Set[int],
+        visited: Set[int],
+    ) -> Optional[List[int]]:
+        path.append(txn)
+        on_path.add(txn)
+        # Sorted so the DFS -- and therefore victim selection when a
+        # transaction participates in several cycles -- does not
+        # depend on set iteration order.
+        for blocker in sorted(self._edges_from(txn)):
+            if blocker == start:
+                return list(path)
+            if blocker in on_path:
+                # A cycle not through `start`: report the sub-path.
+                index = path.index(blocker)
+                return path[index:]
+            if blocker not in visited:
+                result = self._dfs(blocker, start, path, on_path, visited)
+                if result is not None:
+                    return result
+        path.pop()
+        on_path.discard(txn)
+        visited.add(txn)
+        return None

@@ -12,15 +12,18 @@ completion barrier.  There are no lock conflicts, no deadlocks and no
 validation aborts -- the price is the epoch admission delay and the
 layer barriers.
 
-Coupling regimes differ only in where the scheduler state lives:
+Coupling regimes differ only in where the scheduler state lives, and
+the coupling substrate (:mod:`repro.cc.store`) decides what reaching
+it costs:
 
 * **Shared store (GEM, RDMA)**: batch membership and the published
-  schedule live in the store (:mod:`repro.cc.store`) -- joining and
-  publishing the schedule are synchronous word accesses, completion
-  reports are word writes.  The batch state survives node crashes.
-* **PCL**: the lowest-numbered surviving node runs the scheduler;
-  joins ship the access set in a long message, the schedule is
-  broadcast in short messages, completions are short messages.
+  schedule live in the store -- joining and publishing the schedule
+  are synchronous word accesses, completion reports are word writes.
+  The batch state survives node crashes.
+* **PCL** (:mod:`repro.cc.partitions`): the lowest-numbered surviving
+  node runs the scheduler; joins ship the access set in a long
+  message, the schedule is broadcast in short messages, completions
+  are short messages.
 
 Coherency control reuses the paper's NOFORCE ownership scheme: the
 committer keeps the dirty page and the schedule names it as the owner,
@@ -46,7 +49,7 @@ from typing import (
 
 from repro.cc.base import CCProtocol, LockGrant
 from repro.cc.messages import DgccDonePayload, DgccJoinPayload, DgccSchedPayload
-from repro.cc.store import PageOwners, SharedStore, shared_store
+from repro.cc.store import PageOwners, shared_store
 from repro.db.pages import PageId
 from repro.obs import phases
 from repro.node.lock_table import LockTable
@@ -87,18 +90,11 @@ class DgccProtocol(CCProtocol):
     name = "dgcc"
 
     def __init__(self, cluster: "Cluster", gla_map: Callable[[PageId], int]) -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.config = cluster.config
-        self.detector = cluster.detector
-        self.recorder = cluster.recorder
-        self.gla_map = gla_map
-        #: The shared store holding the batch area (GEM, RDMA), or None
-        #: when a coordinator node runs the scheduler (PCL).
-        self.store: Optional[SharedStore] = shared_store(cluster)
-        #: Where NOFORCE pages come from: the store, or the owners'
-        #: buffers by message under PCL.
-        self.pages = self.store if self.store is not None else PageOwners(cluster)
+        super().__init__(cluster)
+        #: The substrate holding the batch area (GEM, RDMA) or reaching
+        #: the coordinator node that runs the scheduler (PCL); NOFORCE
+        #: pages come from the store, or the owners' buffers by message.
+        self.store: PageOwners = shared_store(cluster, gla_map)
         self._epoch = self.config.dgcc_epoch_seconds
         # Hot-path config values, resolved once.
         self._lock_op_instr = self.config.instructions_per_lock_op
@@ -120,19 +116,11 @@ class DgccProtocol(CCProtocol):
         self.batch_size = Tally("dgcc.batch_size")
         self.batches = 0
         self.layers_total = 0
-        self.local_lock_requests = 0
-        self.remote_lock_requests = 0
-        if self.store is None:
-            for node in cluster.nodes:
-                node.register_handler("dgcc_join", self._handle_join)
-                node.register_handler("dgcc_done", self._handle_done)
+        # Requests reach these only at a coordinator node (PCL).
+        for node in cluster.nodes:
+            node.register_handler("dgcc_join", self._handle_report)
+            node.register_handler("dgcc_done", self._handle_report)
         self.sim.process(self._driver(), name="dgcc-driver")
-
-    # -- helpers -----------------------------------------------------------
-
-    def _coordinator(self) -> int:
-        faults = self.cluster.faults
-        return faults.coordinator() if faults is not None else 0
 
     # -- the epoch driver --------------------------------------------------
 
@@ -149,26 +137,18 @@ class DgccProtocol(CCProtocol):
         self._collecting = {}
         self.batches += 1
         self.batch_size.record(len(members))
-        coord = self._coordinator()
+        coord = self.store.coordinator()
         total_accesses = sum(len(m.accesses) for m in members)
         # Publish the schedule: word writes to the store, or a
         # broadcast of short (delivery-confirmed) messages under PCL.
-        if self.store is not None:
-            yield from self.store.access(coord, 2 * len(members))
-        else:
-            coord_node = self.cluster.nodes[coord]
-            faults = self.cluster.faults
-            sched: DgccSchedPayload = {"batch": self.batches}
-            for node in self.cluster.nodes:
-                if node.node_id == coord:
-                    continue
-                if faults is not None and faults.is_down(node.node_id):
-                    continue
-                notice = self.sim.event()
-                yield from coord_node.comm.send(
-                    node.node_id, "dgcc_sched", sched, reply_event=notice
-                )
-                yield notice
+        sched: DgccSchedPayload = {"batch": self.batches}
+        yield from self.store.publish(
+            coord,
+            2 * len(members),
+            lambda node, dst, notice: node.comm.send(
+                dst, "dgcc_sched", sched, reply_event=notice
+            ),
+        )
         # Conflict-graph construction at the coordinator.
         yield from self.cluster.nodes[coord].cpu.consume(
             self._sched_instr * total_accesses
@@ -257,7 +237,7 @@ class DgccProtocol(CCProtocol):
             txn.local_lock_requests += 1
             yield from self.cluster.nodes[txn.node].cpu.consume(self._lock_op_instr)
         txn.held_locks[page] = write or txn.held_locks.get(page, False)
-        return self.pages.grant(
+        return self.store.grant(
             txn.node, page, self._seqnos.get(page, 0), self._owners.get(page)
         )
 
@@ -268,26 +248,21 @@ class DgccProtocol(CCProtocol):
         member = _Member(txn_id, node_id, txn.lockable_pages(), self.sim.event())
         self._members[txn_id] = member
         self._collecting[txn_id] = member
-        if self.store is not None:
+        host = self.store.central(node_id)
+        if host == node_id:
             self.local_lock_requests += 1
             txn.local_lock_requests += 1
-            yield from self.store.access(node_id, 2, txn_id)
+            yield from self.store.process(node_id, 2, txn_id)
         else:
-            coord = self._coordinator()
-            if coord == node_id:
-                self.local_lock_requests += 1
-                txn.local_lock_requests += 1
-                yield from node.cpu.consume(self._lock_op_instr)
-            else:
-                self.remote_lock_requests += 1
-                txn.remote_lock_requests += 1
-                join: DgccJoinPayload = {
-                    "txn_id": txn_id,
-                    "accesses": member.accesses,
-                    "requester": node_id,
-                }
-                with self.recorder.span(txn_id, phases.COMM):
-                    yield from node.comm.send(coord, "dgcc_join", join, long=True)
+            self.remote_lock_requests += 1
+            txn.remote_lock_requests += 1
+            join: DgccJoinPayload = {
+                "txn_id": txn_id,
+                "accesses": member.accesses,
+                "requester": node_id,
+            }
+            with self.recorder.span(txn_id, phases.COMM):
+                yield from node.comm.send(host, "dgcc_join", join, long=True)
         if member.run_event.triggered:
             return
 
@@ -304,25 +279,12 @@ class DgccProtocol(CCProtocol):
         self.lock_wait_time.record(self.sim.now - blocked_at)
         self.detector.clear(txn_id)
 
-    def _handle_join(
+    def _handle_report(
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
-        # Membership is registered centrally at send time; this charges
-        # the scheduler-side processing cost.
+        # Membership and completion are registered centrally at send
+        # time; this charges the scheduler-side processing cost.
         yield from node.cpu.consume(self._lock_op_instr)
-
-    def _handle_done(
-        self, node: "Node", payload: Mapping[str, Any]
-    ) -> Generator[Event, Any, None]:
-        yield from node.cpu.consume(self._lock_op_instr)
-
-    # -- NOFORCE page transfers --------------------------------------------
-
-    def request_page_from_owner(
-        self, txn: Transaction, page: PageId, grant: LockGrant
-    ) -> Generator[Event, Any, Optional[int]]:
-        version = yield from self.pages.fetch(txn, page, grant)
-        return version
 
     # -- release -----------------------------------------------------------
 
@@ -332,19 +294,15 @@ class DgccProtocol(CCProtocol):
         modified = sorted(txn.modified.items())
         # Publish versions and the completion: word writes to the store,
         # or one short completion message to the scheduler (PCL).
-        if self.store is not None:
-            yield from self.store.access(node_id, 1 + len(modified))
+        host = self.store.central(node_id)
+        if host == node_id:
+            yield from self.store.process(node_id, 1 + len(modified))
         else:
-            coord = self._coordinator()
-            node = self.cluster.nodes[node_id]
-            if coord == node_id:
-                yield from node.cpu.consume(self._lock_op_instr)
-            else:
-                done: DgccDonePayload = {"txn_id": txn_id, "committed": True}
-                yield from node.comm.send(coord, "dgcc_done", done)
+            done: DgccDonePayload = {"txn_id": txn_id, "committed": True}
+            yield from self.cluster.nodes[node_id].comm.send(host, "dgcc_done", done)
         if self._noforce and modified:
             # Publish the committed pages (RDMA: into the pool).
-            yield from self.pages.install(node_id, modified)
+            yield from self.store.install(node_id, modified)
         for page, version in modified:
             if version > self._seqnos.get(page, 0):
                 self._seqnos[page] = version
@@ -374,11 +332,10 @@ class DgccProtocol(CCProtocol):
             return
         if self._owners.get(page) != node_id or self._seqnos.get(page, 0) != version:
             return
-        if self.store is not None:
-            yield from self.store.access(node_id, 1)
+        yield from self.store.access(node_id, 1)
         if self._owners.get(page) == node_id:
             del self._owners[page]
-        self.pages.written_back(page, version)
+        self.store.written_back(page, version)
 
     # -- fault injection ---------------------------------------------------
 
@@ -394,19 +351,9 @@ class DgccProtocol(CCProtocol):
         # The dead node owned pages whose only write-back copy was its
         # buffer: a surviving *clean* current copy cannot reach storage,
         # so such pages must be REDOne even though readers cache them.
-        ledger = self.cluster.ledger
-        for page, committed in ledger.stale_pages():
-            if page in record.lost or self._owners.get(page) != record.node:
-                continue
-            if any(
-                node.buffer.has_current_dirty(page, committed)
-                for node in self.cluster.nodes
-                if node.node_id != record.node
-            ):
-                continue
-            record.lost[page] = committed
+        self.store.orphans(record, lambda page: self._owners.get(page) == record.node)
         # Pages the store still holds did not die with the node's buffer.
-        self.pages.trim_lost(record)
+        self.store.trim_lost(record)
 
     def recover(
         self, faults: "FaultManager", record: "CrashRecord"
@@ -417,9 +364,7 @@ class DgccProtocol(CCProtocol):
         purged at the crash instant and the (GEM-resident respectively
         coordinator-resident) schedule survives by construction."""
         coord = faults.coordinator()
-        coord_node = self.cluster.nodes[coord]
         ledger = self.cluster.ledger
-        cfg = faults.config
         # Versions a dead committer installed in the ledger but never
         # published to the scheduler.
         for txn in sorted(record.killed, key=lambda t: t.txn_id):
@@ -432,10 +377,7 @@ class DgccProtocol(CCProtocol):
         for page in sorted(p for p, o in self._owners.items() if o == record.node):
             if page in record.lost:
                 continue
-            if self.store is not None:
-                yield from self.store.access(coord, 1)
-            else:
-                yield from coord_node.cpu.consume(cfg.recovery_instructions_per_lock)
+            yield from self.store.recovery_access(coord)
             self._owners.pop(page, None)
         yield from faults.redo_pages(record, coord)
         for page in sorted(p for p, o in self._owners.items() if o == record.node):
@@ -447,7 +389,7 @@ class DgccProtocol(CCProtocol):
         """The restarted node simply resumes joining batches; there is
         no partitioned protocol state to fail back.  Only the store may
         have to re-admit it first (RDMA: fabric re-registration)."""
-        yield from self.pages.reintegrate(record)
+        yield from self.store.reintegrate(record)
 
     # -- introspection / statistics ----------------------------------------
 
@@ -456,23 +398,8 @@ class DgccProtocol(CCProtocol):
             1 for member in self._members.values() if not member.run_event.triggered
         )
 
-    def lock_stats(self) -> Dict[str, float]:
-        total = self.local_lock_requests + self.remote_lock_requests
-        return {
-            "local_share": self.local_lock_requests / total if total else 1.0,
-            "remote_lock_requests": float(self.remote_lock_requests),
-            "lock_requests": float(total),
-            "mean_lock_wait": self.lock_wait_time.mean,
-            "page_requests": float(self.pages.page_requests),
-            "mean_page_request_delay": self.pages.page_request_delay.mean,
-            "pages_supplied_with_grant": 0.0,
-        }
-
     def reset_stats(self) -> None:
-        self.lock_wait_time.reset()
+        super().reset_stats()
         self.batch_size.reset()
-        self.pages.reset_stats()
         self.batches = 0
         self.layers_total = 0
-        self.local_lock_requests = 0
-        self.remote_lock_requests = 0

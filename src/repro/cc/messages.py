@@ -149,6 +149,9 @@ class GltRevokePayload(TypedDict):
 
 
 # -- multi-version CC (MVCC, loose coupling) ---------------------------
+#
+# The requester side of every round trip goes through the substrate's
+# watched call (Partitions.call); payloads are built in mvcc.py.
 
 
 class TimestampRequestPayload(TypedDict):
@@ -268,7 +271,8 @@ class DgccSchedPayload(TypedDict):
 
 class GlaTransferPayload(TypedDict):
     """``gla_failover`` / ``gla_state`` / ``gla_failback``: GLA
-    partition hand-over during failover and failback."""
+    partition hand-over during failover and failback
+    (:class:`~repro.cc.partitions.Partitions`)."""
 
     home: int
 
@@ -298,8 +302,9 @@ WIRE_FORMATS: Dict[str, WireFormat] = {
     "release": WireFormat(ReleasePayload, ("PrimaryCopyProtocol",)),
     "revoke": WireFormat(RevokePayload, ("PrimaryCopyProtocol",)),
     "revoke_ack": WireFormat(AckPayload, ()),
-    # NOFORCE page transfer from the owner's buffer (the coupling
-    # substrate, for every protocol that tracks page owners)
+    # NOFORCE page transfer from the owner's buffer (every coupling
+    # substrate registers the handler; used by the protocols whose
+    # grants name page owners)
     "page_req": WireFormat(PageRequestPayload, ("PageOwners",)),
     "page_rsp": WireFormat(PageResponsePayload, ()),
     # GEM lock authorizations (2PL against the shared store)
@@ -321,7 +326,9 @@ WIRE_FORMATS: Dict[str, WireFormat] = {
     "dgcc_join": WireFormat(DgccJoinPayload, ("DgccProtocol",)),
     "dgcc_done": WireFormat(DgccDonePayload, ("DgccProtocol",)),
     "dgcc_sched": WireFormat(DgccSchedPayload, ()),
-    # fault handling (failover orchestration; delivery-confirmed)
+    # fault handling: GLA partition failover and failback, sent by the
+    # loose-coupling substrate (Partitions) for every PCL protocol;
+    # delivery-confirmed, so no handler receives them
     "gla_failover": WireFormat(GlaTransferPayload, ()),
     "gla_state": WireFormat(GlaTransferPayload, ()),
     "gla_failback": WireFormat(GlaTransferPayload, ()),

@@ -5,25 +5,29 @@ coupling regimes): transactions read committed version snapshots
 without any locking, writers take lightweight **first-writer-wins
 reservations**, and a commit-time validation checks that every page
 read is still current.  The serialization order is the order of
-**commit timestamps** drawn from one monotonic counter:
+**commit timestamps** drawn from one monotonic counter.
+
+The protocol is written once against the coupling substrate
+(:mod:`repro.cc.store`), which holds the version directory -- one
+entry per page with the committed sequence number and (NOFORCE) the
+page owner -- and the timestamp counter:
 
 * Under **close coupling (GEM)** and **memory disaggregation (RDMA)**
-  the version directory -- one entry per page with the committed
-  sequence number and (NOFORCE) the page owner -- and the timestamp
-  counter live in the shared store (:mod:`repro.cc.store`).  Every
-  directory operation is a synchronous word access (CPU held
-  throughout), and the directory survives node crashes.  The store
-  decides what a word access costs, where a missing page comes from
-  (the owner's buffer under GEM, the pool under RDMA) and what a crash
-  leaves to recover.
+  the directory is one store-resident partition that survives node
+  crashes, and every directory operation is a synchronous word access
+  (CPU held throughout).  The store decides what a word access costs,
+  where a missing page comes from (the owner's buffer under GEM, the
+  pool under RDMA) and what a crash leaves to recover.
 * Under **loose coupling (PCL)** the directory is partitioned across
-  the nodes like the GLAs of primary copy locking: reads, write
-  reservations, validation and version installs against a remote home
-  travel as messages; a cached copy is read message-free as an
+  the nodes like the GLAs of primary copy locking
+  (:mod:`repro.cc.partitions`): reads, write reservations, validation
+  and version installs against a remote partition travel as messages
+  (the protocol's ``mv_*`` kinds), with the page carried to and from
+  the partition host; a cached copy is read message-free as an
   optimistic snapshot (validation catches staleness).  The timestamp
   counter is served by the lowest-numbered surviving node.  A crash
   loses the dead node's directory partition; it is rebuilt from the
-  committed ledger during failover.
+  committed ledger at once and reassigned during failover.
 
 Validation waits use commit-timestamp order: a validator only ever
 waits for reservation holders with a *smaller assigned* commit
@@ -45,11 +49,11 @@ from typing import (
     Optional,
     Tuple,
     TYPE_CHECKING,
+    cast,
 )
 
 from repro.cc.base import CCProtocol, LockGrant, PageSource
 from repro.cc.messages import (
-    GlaTransferPayload,
     MvccAbortPayload,
     MvccInstallPayload,
     MvccReadPayload,
@@ -60,7 +64,7 @@ from repro.cc.messages import (
     TimestampResponsePayload,
     LockResponsePayload,
 )
-from repro.cc.store import SharedStore, shared_store
+from repro.cc.store import PageOwners, shared_store
 from repro.db.pages import PageId
 from repro.errors import TransactionAborted
 from repro.obs import phases
@@ -78,29 +82,20 @@ __all__ = ["MvccProtocol"]
 
 
 class MvccProtocol(CCProtocol):
-    """Multi-version optimistic CC over either coupling regime."""
+    """Multi-version optimistic CC over any coupling substrate."""
 
     name = "mvcc"
     multiversion = True
 
     def __init__(self, cluster: "Cluster", gla_map: Callable[[PageId], int]) -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.config = cluster.config
-        self.detector = cluster.detector
-        self.recorder = cluster.recorder
-        self.gla_map = gla_map
-        #: The shared store holding the central directory (GEM, RDMA),
-        #: or None when the directory is partitioned (PCL).
-        self.store: Optional[SharedStore] = shared_store(cluster)
-        if self.store is not None:
-            #: One store-resident version directory (non-volatile).
-            self.tables: List[LockTable] = [LockTable("mvccdir")]
-        else:
-            #: Per-home directory partitions, volatile like the GLAs.
-            self.tables = [
-                LockTable(f"mvccdir{n}") for n in range(cluster.config.num_nodes)
-            ]
+        super().__init__(cluster)
+        #: The substrate holding the directory: one non-volatile
+        #: store-resident partition (GEM, RDMA), or one volatile
+        #: partition per GLA node (PCL).
+        self.store: PageOwners = shared_store(cluster, gla_map)
+        self.tables: List[LockTable] = [
+            LockTable(f"mvccdir{n}") for n in range(self.store.partitions)
+        ]
         # Hot-path config values, resolved once.
         self._lock_op_instr = self.config.instructions_per_lock_op
         self._noforce = self.config.noforce
@@ -116,30 +111,23 @@ class MvccProtocol(CCProtocol):
         #: blocker txn -> [(waiter txn, wake event)] validation waits.
         self._waiters: Dict[int, List[Tuple[int, Event]]] = {}
         self.lock_wait_time = Tally("mvcc.validation_wait")
-        self.remote_grant_delay = Tally("mvcc.remote_grant_delay")
-        self.local_lock_requests = 0
-        self.remote_lock_requests = 0
-        self.pages_supplied_with_grant = 0
-        self.pages_shipped_with_release = 0
         self.timestamps_drawn = 0
         self.reservation_conflicts = 0
         self.validation_failures = 0
         self.commits_validated = 0
-        if self.store is None:
-            for node in cluster.nodes:
-                node.register_handler("mv_ts", self._handle_ts)
-                node.register_handler("mv_read", self._handle_read)
-                node.register_handler("mv_reserve", self._handle_reserve)
-                node.register_handler("mv_validate", self._handle_validate)
-                node.register_handler("mv_install", self._handle_install)
-                node.register_handler("mv_abort", self._handle_abort)
+        # Requests reach these only from a remote partition (PCL).
+        for node in cluster.nodes:
+            node.register_handler("mv_ts", self._handle_ts)
+            node.register_handler("mv_read", self._handle_read)
+            node.register_handler("mv_reserve", self._handle_reserve)
+            node.register_handler("mv_validate", self._handle_validate)
+            node.register_handler("mv_install", self._handle_install)
+            node.register_handler("mv_abort", self._handle_abort)
 
     # -- directory helpers -------------------------------------------------
 
     def _table_for(self, page: PageId) -> LockTable:
-        if self.store is not None:
-            return self.tables[0]
-        return self.tables[self.gla_map(page)]
+        return self.tables[self.store.home(page)]
 
     # -- timestamps --------------------------------------------------------
 
@@ -157,38 +145,30 @@ class MvccProtocol(CCProtocol):
         self, node_id: int, txn_id: int, commit: bool
     ) -> Generator[Event, Any, int]:
         """Draw a timestamp: one store word access, or a message round
-        to the timestamp authority (free when the authority is local)."""
+        to the timestamp authority (local processing when the authority
+        is this node)."""
         self.timestamps_drawn += 1
-        if self.store is not None:
-            yield from self.store.access(node_id, 1, txn_id)
-            return self._alloc_ts(txn_id, commit)
-        faults = self.cluster.faults
         node = self.cluster.nodes[node_id]
         while True:
-            authority = faults.coordinator() if faults is not None else 0
+            authority = self.store.central(node_id)
             if authority == node_id:
-                yield from node.cpu.consume(self._lock_op_instr)
+                yield from self.store.process(node_id, 1, txn_id)
                 return self._alloc_ts(txn_id, commit)
             reply = self.sim.event()
-            if faults is not None:
-                faults.watch(authority, reply)
             request: TimestampRequestPayload = {
                 "txn_id": txn_id,
                 "commit": commit,
                 "requester": node_id,
                 "reply": reply,
             }
-            with self.recorder.span(txn_id, phases.COMM):
-                yield from node.comm.send(authority, "mv_ts", request)
-                payload = yield reply
-            if faults is not None:
-                faults.unwatch(authority, reply)
-                if payload.get("crashed"):
-                    # The authority died before answering; a re-draw at
-                    # its successor supersedes any published timestamp.
-                    continue
-            ts: int = payload["ts"]
-            return ts
+            payload = yield from self.store.call(
+                authority, reply, txn_id, node.comm.send(authority, "mv_ts", request)
+            )
+            if payload is not None:
+                ts: int = payload["ts"]
+                return ts
+            # The authority died before answering; a re-draw at its
+            # successor supersedes any published timestamp.
 
     def _handle_ts(
         self, node: "Node", payload: Mapping[str, Any]
@@ -210,15 +190,44 @@ class MvccProtocol(CCProtocol):
         write: bool,
         cached_version: Optional[int],
     ) -> Generator[Event, Any, LockGrant]:
+        node_id = txn.node
+        txn_id = txn.txn_id
         if txn.begin_ts is None:
-            txn.begin_ts = yield from self._draw_ts(
-                txn.node, txn.txn_id, commit=False
+            txn.begin_ts = yield from self._draw_ts(node_id, txn_id, commit=False)
+        store = self.store
+        home = store.home(page)
+        while True:
+            host = yield from store.resolve(node_id, home)
+            if host == node_id:
+                # The entry is reachable without messages: read it (a
+                # write also writes the reservation back).
+                self.local_lock_requests += 1
+                txn.local_lock_requests += 1
+                yield from store.process(node_id, 2 if write else 1, txn_id)
+                entry = self.tables[home].entry(page)
+                if write and (
+                    self._doomed(txn, page, entry.seqno)
+                    or not self._reserve(txn_id, page)
+                ):
+                    raise TransactionAborted(txn_id)
+                seqno = self._record(txn, page, write, entry.seqno)
+                return store.grant(node_id, page, seqno, entry.owner)
+            if not write and cached_version is not None:
+                # Only a remote directory partition (PCL) gets here: an
+                # optimistic message-free snapshot read of the cached
+                # copy; commit validation catches staleness (and then
+                # invalidates the copy, so a restart refetches).
+                self.local_lock_requests += 1
+                txn.local_lock_requests += 1
+                yield from self.cluster.nodes[node_id].cpu.consume(self._lock_op_instr)
+                seqno = self._record(txn, page, False, cached_version)
+                return LockGrant(seqno, source=PageSource.STORAGE, local=True)
+            grant = yield from self._acquire_remote(
+                txn, page, write, home, host, cached_version
             )
-        if self.store is not None:
-            grant = yield from self._acquire_store(self.store, txn, page, write)
-            return grant
-        grant = yield from self._acquire_pcl(txn, page, write, cached_version)
-        return grant
+            if grant is not None:
+                return grant
+            # The host crashed before answering: re-resolve and retry.
 
     def _doomed(self, txn: Transaction, page: PageId, current: int) -> bool:
         """Early doom check: a recorded read snapshot was superseded."""
@@ -238,87 +247,18 @@ class MvccProtocol(CCProtocol):
         self._reservations[page] = txn_id
         return True
 
-    def _acquire_store(
-        self, store: SharedStore, txn: Transaction, page: PageId, write: bool
-    ) -> Generator[Event, Any, LockGrant]:
-        node_id = txn.node
-        txn_id = txn.txn_id
-        self.local_lock_requests += 1
-        txn.local_lock_requests += 1
-        directory = self.tables[0]
+    @staticmethod
+    def _record(txn: Transaction, page: PageId, write: bool, current: int) -> int:
+        """Register the access; returns the snapshot version it reads."""
         if write:
-            # Read the entry, write back the reservation: two accesses.
-            yield from store.access(node_id, 2, txn_id)
-            entry = directory.entry(page)
-            if self._doomed(txn, page, entry.seqno):
-                raise TransactionAborted(txn_id)
-            if not self._reserve(txn_id, page):
-                raise TransactionAborted(txn_id)
             txn.held_locks[page] = True
-            txn.read_versions.setdefault(page, entry.seqno)
-            seqno = entry.seqno
-        else:
-            # Snapshot read: one entry access to learn the current seqno.
-            yield from store.access(node_id, 1, txn_id)
-            entry = directory.entry(page)
-            seqno = txn.read_versions.setdefault(page, entry.seqno)
-            txn.held_locks[page] = txn.held_locks.get(page, False)
-        return store.grant(node_id, page, seqno, entry.owner)
+            txn.read_versions.setdefault(page, current)
+            return current
+        seqno = txn.read_versions.setdefault(page, current)
+        txn.held_locks[page] = txn.held_locks.get(page, False)
+        return seqno
 
-    def _acquire_pcl(
-        self,
-        txn: Transaction,
-        page: PageId,
-        write: bool,
-        cached_version: Optional[int],
-    ) -> Generator[Event, Any, LockGrant]:
-        node_id = txn.node
-        txn_id = txn.txn_id
-        home = self.gla_map(page)
-        faults = self.cluster.faults
-        while True:
-            if faults is None:
-                host = home
-            else:
-                host = yield from faults.resolve_gla(home)
-            node = self.cluster.nodes[node_id]
-            if host == node_id:
-                # Directory partition hosted here: process locally.
-                self.local_lock_requests += 1
-                txn.local_lock_requests += 1
-                yield from node.cpu.consume(self._lock_op_instr)
-                entry = self.tables[home].entry(page)
-                if write:
-                    if self._doomed(txn, page, entry.seqno):
-                        raise TransactionAborted(txn_id)
-                    if not self._reserve(txn_id, page):
-                        raise TransactionAborted(txn_id)
-                    txn.held_locks[page] = True
-                    txn.read_versions.setdefault(page, entry.seqno)
-                    return LockGrant(
-                        entry.seqno, source=PageSource.STORAGE, local=True
-                    )
-                seqno = txn.read_versions.setdefault(page, entry.seqno)
-                txn.held_locks[page] = txn.held_locks.get(page, False)
-                return LockGrant(seqno, source=PageSource.STORAGE, local=True)
-            if not write and cached_version is not None:
-                # Optimistic message-free snapshot read of the cached
-                # copy; commit validation catches staleness (and then
-                # invalidates the copy, so a restart refetches).
-                self.local_lock_requests += 1
-                txn.local_lock_requests += 1
-                yield from node.cpu.consume(self._lock_op_instr)
-                seqno = txn.read_versions.setdefault(page, cached_version)
-                txn.held_locks[page] = txn.held_locks.get(page, False)
-                return LockGrant(seqno, source=PageSource.STORAGE, local=True)
-            grant = yield from self._acquire_pcl_remote(
-                txn, page, write, home, host, cached_version
-            )
-            if grant is not None:
-                return grant
-            # The host crashed before answering: re-resolve and retry.
-
-    def _acquire_pcl_remote(
+    def _acquire_remote(
         self,
         txn: Transaction,
         page: PageId,
@@ -332,65 +272,42 @@ class MvccProtocol(CCProtocol):
         node = self.cluster.nodes[node_id]
         self.remote_lock_requests += 1
         txn.remote_lock_requests += 1
-        started = self.sim.now
         reply = self.sim.event()
-        faults = self.cluster.faults
-        if faults is not None:
-            faults.watch(host, reply)
-        with self.recorder.span(txn_id, phases.COMM):
-            if write:
-                reserve: MvccReservePayload = {
-                    "txn_id": txn_id,
-                    "page": page,
-                    "home": home,
-                    "cached_version": cached_version,
-                    "requester": node_id,
-                    "reply": reply,
-                }
-                yield from node.comm.send(host, "mv_reserve", reserve)
-            else:
-                read: MvccReadPayload = {
-                    "page": page,
-                    "home": home,
-                    "requester": node_id,
-                    "reply": reply,
-                }
-                yield from node.comm.send(host, "mv_read", read)
-            payload = yield reply
-        if faults is not None:
-            faults.unwatch(host, reply)
-            if payload.get("crashed"):
-                return None
-        self.remote_grant_delay.record(self.sim.now - started)
+        if write:
+            reserve: MvccReservePayload = {
+                "txn_id": txn_id,
+                "page": page,
+                "home": home,
+                "cached_version": cached_version,
+                "requester": node_id,
+                "reply": reply,
+            }
+            request = node.comm.send(host, "mv_reserve", reserve)
+        else:
+            read: MvccReadPayload = {
+                "page": page,
+                "home": home,
+                "requester": node_id,
+                "reply": reply,
+            }
+            request = node.comm.send(host, "mv_read", read)
+        payload = yield from self.store.call(host, reply, txn_id, request)
+        if payload is None:
+            return None
         if payload.get("aborted"):
             self.reservation_conflicts += 1
             raise TransactionAborted(txn_id)
-        current: int = payload["seqno"]
-        if write:
-            txn.held_locks[page] = True
-            txn.read_versions.setdefault(page, current)
-            seqno = current
-        else:
-            seqno = txn.read_versions.setdefault(page, current)
-            txn.held_locks[page] = txn.held_locks.get(page, False)
-        if payload.get("supplied"):
-            self.pages_supplied_with_grant += 1
-            return LockGrant(
-                seqno, source=PageSource.SUPPLIED, local=False, page_supplied=True
-            )
-        return LockGrant(seqno, source=PageSource.STORAGE, local=False)
+        seqno = self._record(txn, page, write, payload["seqno"])
+        return self._reply_grant(seqno, payload)
 
     def _handle_read(
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
         page = payload["page"]
         yield from node.cpu.consume(self._lock_op_instr)
-        entry = self.tables[payload["home"]].entry(page)
-        seqno = entry.seqno
-        # The reply carries the page exactly when the permanent
-        # database cannot serve it (the host buffers the current dirty
-        # copy under NOFORCE) -- same rule as a PCL grant.
-        supplied = self._noforce and node.buffer.has_current_dirty(page, seqno)
+        seqno = self.tables[payload["home"]].entry(page).seqno
+        # Reads are sent only for uncached pages.
+        supplied = self.store.supplies(node, page, seqno, None)
         response: MvccReadResponsePayload = {"seqno": seqno, "supplied": supplied}
         yield from node.comm.send(
             payload["requester"],
@@ -412,21 +329,15 @@ class MvccProtocol(CCProtocol):
                 payload["requester"], "mv_rsp", refusal, reply_event=payload["reply"]
             )
             return
-        faults = self.cluster.faults
-        if faults is not None and faults.is_down(payload["requester"]):
+        if self.store.is_down(payload["requester"]):
             # The requester died while the request was in flight; crash
             # recovery cannot see a reservation taken after its scan,
             # so give it straight back.
             if self._reservations.get(page) == txn_id:
                 del self._reservations[page]
             return
-        entry = self.tables[payload["home"]].entry(page)
-        seqno = entry.seqno
-        supplied = (
-            self._noforce
-            and payload["cached_version"] != seqno
-            and node.buffer.has_current_dirty(page, seqno)
-        )
+        seqno = self.tables[payload["home"]].entry(page).seqno
+        supplied = self.store.supplies(node, page, seqno, payload["cached_version"])
         grant: LockResponsePayload = {
             "aborted": False,
             "seqno": seqno,
@@ -439,16 +350,6 @@ class MvccProtocol(CCProtocol):
             long=supplied,
             reply_event=payload["reply"],
         )
-
-    # -- NOFORCE page transfers (shared store) ----------------------------
-
-    def request_page_from_owner(
-        self, txn: Transaction, page: PageId, grant: LockGrant
-    ) -> Generator[Event, Any, Optional[int]]:
-        # Only store grants name an owner; PCL supplies with the grant.
-        assert self.store is not None
-        version = yield from self.store.fetch(txn, page, grant)
-        return version
 
     # -- validation --------------------------------------------------------
 
@@ -470,12 +371,7 @@ class MvccProtocol(CCProtocol):
         node_id = txn.node
         txn_id = txn.txn_id
         read_set = sorted(txn.read_versions.items())
-        store = self.store
-        if store is not None:
-            # Re-read one directory entry per page read.
-            yield from store.access(node_id, len(read_set), txn_id)
-        else:
-            yield from self._validate_messages(txn, read_set)
+        yield from self._validate(txn, read_set)
         tc = yield from self._draw_ts(node_id, txn_id, commit=True)
         while True:
             stale = [
@@ -504,34 +400,29 @@ class MvccProtocol(CCProtocol):
                 break
             blocker = min(blockers, key=lambda t: (blockers[t], t))
             yield from self._wait_for(txn_id, blocker)
-            if store is not None:
-                # Re-check costs one more directory access.
-                yield from store.access(node_id, 1, txn_id)
+            # Re-check costs one more directory access.
+            yield from self.store.access(node_id, 1, txn_id)
         self.commits_validated += 1
 
-    def _validate_messages(
+    def _validate(
         self, txn: Transaction, read_set: List[Tuple[PageId, int]]
     ) -> Generator[Event, Any, None]:
-        """Charge one validation round per remote home partition (the
-        check itself is central; a crash sentinel is fine because the
-        rebuilt directory starts at the committed ledger versions)."""
+        """Re-read one directory entry per page read, as one operation
+        per partition: local processing, or a validation round to a
+        remote host (the check itself is central; a crash sentinel is
+        fine because the rebuilt directory starts at the committed
+        ledger versions)."""
         node_id = txn.node
         node = self.cluster.nodes[node_id]
-        faults = self.cluster.faults
         homes: Dict[int, List[Tuple[PageId, int]]] = {}
         for page, version in read_set:
-            homes.setdefault(self.gla_map(page), []).append((page, version))
+            homes.setdefault(self.store.home(page), []).append((page, version))
         for home, pages in sorted(homes.items()):
-            if faults is None:
-                host = home
-            else:
-                host = yield from faults.resolve_gla(home)
+            host = yield from self.store.resolve(node_id, home)
             if host == node_id:
-                yield from node.cpu.consume(self._lock_op_instr)
+                yield from self.store.process(node_id, len(pages), txn.txn_id)
                 continue
             reply = self.sim.event()
-            if faults is not None:
-                faults.watch(host, reply)
             request: MvccValidatePayload = {
                 "txn_id": txn.txn_id,
                 "pages": pages,
@@ -539,11 +430,9 @@ class MvccProtocol(CCProtocol):
                 "requester": node_id,
                 "reply": reply,
             }
-            with self.recorder.span(txn.txn_id, phases.COMM):
-                yield from node.comm.send(host, "mv_validate", request)
-                yield reply
-            if faults is not None:
-                faults.unwatch(host, reply)
+            yield from self.store.call(
+                host, reply, txn.txn_id, node.comm.send(host, "mv_validate", request)
+            )
 
     def _handle_validate(
         self, node: "Node", payload: Mapping[str, Any]
@@ -592,213 +481,115 @@ class MvccProtocol(CCProtocol):
     def commit_release(self, txn: Transaction) -> Generator[Event, Any, None]:
         # Read snapshots hold no protocol state; only write
         # reservations must be resolved into version installs.
-        if self.store is not None:
-            yield from self._commit_release_store(self.store, txn)
-        else:
-            yield from self._commit_release_pcl(txn)
-        self._complete(txn.txn_id)
+        yield from self._release(txn, commit=True)
 
-    def _commit_release_store(
-        self, store: SharedStore, txn: Transaction
-    ) -> Generator[Event, Any, None]:
-        node_id = txn.node
-        txn_id = txn.txn_id
-        held = txn.held_locks
-        directory = self.tables[0]
-        while held:
-            page = next(iter(held))
-            if not held[page] or self._reservations.get(page) != txn_id:
-                held.pop(page, None)
-                continue
-            # Install: read the entry, write seqno/owner back.
-            yield from store.access(node_id, 2)
-            entry = directory.entry(page)
-            new_version = txn.modified.get(page)
-            if new_version is not None:
-                entry.seqno = max(entry.seqno, new_version)
-                entry.owner = node_id if self._noforce else None
-                if self._noforce:
-                    # Publish the committed page (RDMA: into the pool).
-                    yield from store.install(node_id, ((page, new_version),))
-            if self._reservations.get(page) == txn_id:
-                del self._reservations[page]
-            held.pop(page, None)
+    def abort_release(self, txn: Transaction) -> Generator[Event, Any, None]:
+        # Reads never registered anything; reservations are dropped.
+        yield from self._release(txn, commit=False)
 
-    def _commit_release_pcl(self, txn: Transaction) -> Generator[Event, Any, None]:
-        # Idempotent and interruption-safe like PCL's _release: pages
-        # leave held_locks as their install is applied locally or
-        # acknowledged remotely, never in one upfront sweep.
+    def _release(self, txn: Transaction, commit: bool) -> Generator[Event, Any, None]:
+        # Idempotent and interruption-safe like PCL's release: pages
+        # leave held_locks as their install or release is applied
+        # locally or acknowledged remotely, never in one upfront sweep.
         node_id = txn.node
         txn_id = txn.txn_id
         node = self.cluster.nodes[node_id]
-        faults = self.cluster.faults
+        store = self.store
         held = txn.held_locks
+        reserved = [
+            page
+            for page, write in held.items()
+            if write and self._reservations.get(page) == txn_id
+        ]
+        # Resolve every partition's host first (this may wait at
+        # failover gates), then apply the local part without yielding
+        # for anything but store accesses.
         hosts: Dict[int, int] = {}
-        if faults is not None:
-            for page, mode in held.items():
-                if mode:
-                    home = self.gla_map(page)
-                    if home not in hosts:
-                        hosts[home] = yield from faults.resolve_gla(home)
-        groups: Dict[Tuple[int, int], List[Tuple[PageId, int]]] = {}
+        for page in reserved:
+            home = store.home(page)
+            if home not in hosts:
+                hosts[home] = yield from store.resolve(node_id, home)
+        groups: Dict[Tuple[int, int], List[Tuple[PageId, Optional[int]]]] = {}
         for page in list(held):
-            if not held[page]:
+            if not held[page] or self._reservations.get(page) != txn_id:
                 held.pop(page, None)
                 continue
-            new_version = txn.modified.get(page)
-            home = self.gla_map(page)
-            host = hosts.get(home, home)
-            if host == node_id or new_version is None:
-                # Local home (we are the partition host and keep the
-                # dirty copy as its owner), or a reservation that was
-                # never written: apply synchronously.
+            new_version = txn.modified.get(page) if commit else None
+            home = store.home(page)
+            host = hosts[home]
+            if host == node_id or (commit and new_version is None):
+                # Local partition (a store entry, or this node is the
+                # partition host and keeps the dirty copy as its
+                # owner), or a reservation that was never written:
+                # read the entry, write seqno/owner back.
+                yield from store.access(node_id, 2)
                 if new_version is not None:
                     entry = self.tables[home].entry(page)
                     entry.seqno = max(entry.seqno, new_version)
-                    entry.owner = node_id if self._noforce else None
+                    entry.owner = store.owner(node_id)
+                    if self._noforce:
+                        # Publish the committed page (RDMA: into the pool).
+                        yield from store.install(node_id, ((page, new_version),))
                 if self._reservations.get(page) == txn_id:
                     del self._reservations[page]
                 held.pop(page, None)
             else:
                 groups.setdefault((host, home), []).append((page, new_version))
         for (host, home), pages in groups.items():
-            carry = self._noforce
-            if carry:
-                self.pages_shipped_with_release += len(pages)
-                # Ownership moves to the directory host with the pages.
-                for page, version in pages:
-                    node.buffer.mark_clean(page, version)
-            ack = self.sim.event()
-            if faults is not None:
-                if faults.is_down(host):
-                    # Crashed since host resolution: the rebuilt
-                    # directory starts at the committed ledger versions
-                    # (which already include these installs), so only
-                    # the reservations need dropping.
-                    self._finish_group(txn_id, held, pages)
-                    continue
-                faults.watch(host, ack)
-            install: MvccInstallPayload = {
-                "txn_id": txn_id,
-                "pages": pages,
-                "carry_pages": carry,
-                "home": home,
-                "requester": node_id,
-                "ack": ack,
-            }
-            yield from node.comm.send(host, "mv_install", install, long=carry)
-            # Commit completion is ordered after directory publication:
-            # wait for the install acknowledgement (a crash sentinel
-            # also releases us -- see above).
-            yield ack
-            if faults is not None:
-                faults.unwatch(host, ack)
-            self._finish_group(txn_id, held, pages)
-
-    def _finish_group(
-        self,
-        txn_id: int,
-        held: Dict[PageId, bool],
-        pages: List[Tuple[PageId, int]],
-    ) -> None:
-        for page, _version in pages:
-            if self._reservations.get(page) == txn_id:
-                del self._reservations[page]
-            held.pop(page, None)
+            if commit:
+                carried = store.carry(node, pages)
+                # A host that crashed since resolution needs no install:
+                # the rebuilt directory starts at the committed ledger
+                # versions (which already include these installs), so
+                # only the reservations need dropping.
+                if not store.is_down(host):
+                    ack = self.sim.event()
+                    install: MvccInstallPayload = {
+                        "txn_id": txn_id,
+                        # Only written pages go out: versions are set.
+                        "pages": cast(List[Tuple[PageId, int]], pages),
+                        "carry_pages": carried,
+                        "home": home,
+                        "requester": node_id,
+                        "ack": ack,
+                    }
+                    # Commit completion is ordered after directory
+                    # publication: wait for the install acknowledgement
+                    # (a crash sentinel also releases us -- see above).
+                    yield from store.call(
+                        host,
+                        ack,
+                        None,
+                        node.comm.send(host, "mv_install", install, long=carried),
+                    )
+            else:
+                release: MvccAbortPayload = {
+                    "txn_id": txn_id,
+                    "pages": [page for page, _version in pages],
+                    "home": home,
+                }
+                yield from node.comm.send(host, "mv_abort", release)
+            for page, _version in pages:
+                if self._reservations.get(page) == txn_id:
+                    del self._reservations[page]
+                held.pop(page, None)
+        self._complete(txn_id)
 
     def _handle_install(
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
         home = payload["home"]
-        carry = payload["carry_pages"]
-        faults = self.cluster.faults
         yield from node.cpu.consume(
             self._lock_op_instr * max(1, len(payload["pages"]))
         )
         for page, version in payload["pages"]:
-            raced = (
-                faults is not None
-                and home != node.node_id
-                and faults.gla_host(home) != node.node_id
-            )
-            if carry:
-                if raced:
-                    # The carry raced a failback: this node is no longer
-                    # the partition host, so flush straight to storage
-                    # instead of buffering a dirty copy nobody owns.
-                    yield from self.cluster.storage.write(page, version, node.cpu)
-                else:
-                    yield from node.buffer.insert_received_page(
-                        page, version, dirty=True
-                    )
+            if payload["carry_pages"]:
+                yield from self.store.receive(node, home, page, version)
             entry = self.tables[home].entry(page)
             entry.seqno = max(entry.seqno, version)
-            entry.owner = node.node_id if carry and not raced else None
         yield from node.comm.send(
             payload["requester"], "mv_install_ack", {}, reply_event=payload["ack"]
         )
-
-    def abort_release(self, txn: Transaction) -> Generator[Event, Any, None]:
-        # Idempotent: reservations leave held_locks as they are freed;
-        # reads never registered anything.
-        if self.store is not None:
-            yield from self._abort_release_store(self.store, txn)
-        else:
-            yield from self._abort_release_pcl(txn)
-        self._complete(txn.txn_id)
-
-    def _abort_release_store(
-        self, store: SharedStore, txn: Transaction
-    ) -> Generator[Event, Any, None]:
-        node_id = txn.node
-        txn_id = txn.txn_id
-        held = txn.held_locks
-        while held:
-            page = next(iter(held))
-            if not held[page] or self._reservations.get(page) != txn_id:
-                held.pop(page, None)
-                continue
-            yield from store.access(node_id, 2)
-            if self._reservations.get(page) == txn_id:
-                del self._reservations[page]
-            held.pop(page, None)
-
-    def _abort_release_pcl(self, txn: Transaction) -> Generator[Event, Any, None]:
-        node_id = txn.node
-        txn_id = txn.txn_id
-        node = self.cluster.nodes[node_id]
-        faults = self.cluster.faults
-        held = txn.held_locks
-        hosts: Dict[int, int] = {}
-        if faults is not None:
-            for page, mode in held.items():
-                if mode and self._reservations.get(page) == txn_id:
-                    home = self.gla_map(page)
-                    if home not in hosts:
-                        hosts[home] = yield from faults.resolve_gla(home)
-        groups: Dict[Tuple[int, int], List[PageId]] = {}
-        for page in list(held):
-            if not held[page] or self._reservations.get(page) != txn_id:
-                held.pop(page, None)
-                continue
-            home = self.gla_map(page)
-            host = hosts.get(home, home)
-            if host == node_id:
-                del self._reservations[page]
-                held.pop(page, None)
-            else:
-                groups.setdefault((host, home), []).append(page)
-        for (host, home), pages in groups.items():
-            release: MvccAbortPayload = {
-                "txn_id": txn_id,
-                "pages": pages,
-                "home": home,
-            }
-            yield from node.comm.send(host, "mv_abort", release)
-            for page in pages:
-                if self._reservations.get(page) == txn_id:
-                    del self._reservations[page]
-                held.pop(page, None)
 
     def _handle_abort(
         self, node: "Node", payload: Mapping[str, Any]
@@ -820,9 +611,8 @@ class MvccProtocol(CCProtocol):
         entry = self._table_for(page).peek(page)
         if entry is None:
             return
-        if self.store is not None:
-            yield from self.store.access(node_id, 2)
-            self.store.written_back(page, version)
+        yield from self.store.access(node_id, 2)
+        self.store.written_back(page, version)
         if entry.owner == node_id and entry.seqno == version:
             entry.owner = None
 
@@ -832,221 +622,68 @@ class MvccProtocol(CCProtocol):
         return tuple(self.tables)
 
     def crash_node(self, faults: "FaultManager", record: "CrashRecord") -> None:
-        if self.store is not None:
-            # Directory, reservations and timestamp counter live in the
-            # non-volatile store and survive; recovery only has to clean
-            # up on behalf of the dead transactions.  Pages the store
-            # still holds did not die with the node's buffer.
-            self.store.trim_lost(record)
-            return
-        home = record.node
-        faults.close_partition(home)
-        ledger = self.cluster.ledger
-        # The dead node's directory partition was volatile.  Rebuild it
-        # from the committed ledger *synchronously* so no validator or
-        # reader can observe pre-crash sequence numbers (ownership info
-        # is gone -- readers fall back to storage, which REDO fences
-        # for lost pages).  recover() charges the modelled cost.
-        self.tables[home] = LockTable(
-            f"mvccdir{home}", seqno_init=ledger.committed_version
-        )
-        # An install carry in flight to the dead host is gone and the
-        # committer already marked its copy clean: a stale page of the
-        # dead partition with no surviving *dirty* current copy has no
-        # write-back path left and must be REDOne.  (A surviving dirty
-        # copy belongs to a committer whose install has not been sent
-        # yet; its install will reach the replacement host.)
-        for page, committed in ledger.stale_pages():
-            if self.gla_map(page) != home or page in record.lost:
-                continue
-            if any(
-                node.buffer.has_current_dirty(page, committed)
-                for node in self.cluster.nodes
-                if node.node_id != home
-            ):
-                continue
-            record.lost[page] = committed
+        """A store-resident directory, with the reservations and the
+        timestamp counter, survives; recovery only has to clean up on
+        behalf of the dead transactions.  A directory partition was
+        volatile: it is rebuilt from the committed ledger
+        *synchronously*, so no validator or reader can observe
+        pre-crash sequence numbers (readers fall back to storage,
+        which REDO fences for lost pages); failover charges the
+        modelled cost."""
+        for home in self.store.fence(record):
+            self.tables[home] = LockTable(
+                f"mvccdir{home}", seqno_init=self.cluster.ledger.committed_version
+            )
 
     def recover(
         self, faults: "FaultManager", record: "CrashRecord"
     ) -> Generator[Event, Any, None]:
-        """Failover: clean up after the dead transactions, then REDO.
+        """Failover: the substrate's (store clean-up, or partition
+        reassignment with its state exchange and REDO) around dropping
+        the dead transactions' reservations and reconciling their
+        entries with the committed ledger.  Validators waiting on a dead
+        transaction are released only after that, so their re-check
+        sees final state."""
+        dead_ids = sorted({txn.txn_id for txn in record.killed})
+        yield from self.store.failover(
+            record, self._reclaim(faults, dead_ids), self.tables
+        )
+        for txn_id in dead_ids:
+            self._complete(txn_id)
 
-        Shared store: the directory survived; once the store lets the
-        dead node's words be reclaimed, the coordinator drops the dead
-        transactions' reservations and reconciles their entries with
-        the committed ledger -- plain word accesses, no messages.
-        PCL: the replacement host announces the failover, clears dead
-        reservations, receives one long directory-state message per
-        other survivor and REDOes the lost pages before reopening the
-        partition.  In both regimes, validators waiting on a dead
-        transaction are released only after its entries are reconciled.
-        """
+    def _reclaim(
+        self, faults: "FaultManager", dead_ids: List[int]
+    ) -> Generator[Event, Any, None]:
         coord = faults.coordinator()
         coord_node = self.cluster.nodes[coord]
         ledger = self.cluster.ledger
-        cfg = faults.config
-        dead_ids = sorted({txn.txn_id for txn in record.killed})
-        store = self.store
-        if store is not None:
-            yield from store.lease_wait(record)
-            for txn_id in dead_ids:
-                pages = sorted(
-                    p for p, h in self._reservations.items() if h == txn_id
-                )
-                for page in pages:
-                    yield from store.access(coord, 2)
-                    yield from coord_node.cpu.consume(
-                        cfg.recovery_instructions_per_lock
-                    )
-                    entry = self.tables[0].entry(page)
-                    entry.seqno = max(entry.seqno, ledger.committed_version(page))
-                    self._reservations.pop(page, None)
-            # Ownership entries pointing at the dead buffer are void;
-            # lost pages keep readers fenced until REDO restores them.
-            directory = self.tables[0]
-            for page in sorted(
-                p for p, e in directory._entries.items() if e.owner == record.node
-            ):
-                if page in record.lost:
-                    continue
-                yield from store.access(coord, 1)
-                directory._entries[page].owner = None
-            yield from faults.redo_pages(record, coord)
-            for entry in directory._entries.values():
-                if entry.owner == record.node:
-                    entry.owner = None
-        else:
-            home = record.node
-            survivors = [
-                n
-                for n in self.cluster.nodes
-                if n.node_id != home and not faults.is_down(n.node_id)
-            ]
-            transfer: GlaTransferPayload = {"home": home}
-            # Failover announcement (delivery-confirmed short messages).
-            for survivor in survivors:
-                if survivor.node_id == coord:
-                    continue
-                notice = self.sim.event()
-                yield from coord_node.comm.send(
-                    survivor.node_id, "gla_failover", transfer, reply_event=notice
-                )
-                yield notice
-            # Drop the dead transactions' reservations and reconcile
-            # the surviving partitions' entries with the ledger.
-            for txn_id in dead_ids:
-                pages = sorted(
-                    p for p, h in self._reservations.items() if h == txn_id
-                )
-                for page in pages:
-                    yield from coord_node.cpu.consume(
-                        cfg.recovery_instructions_per_lock
-                    )
-                    entry = self._table_for(page).entry(page)
-                    entry.seqno = max(entry.seqno, ledger.committed_version(page))
-                    self._reservations.pop(page, None)
-            # Directory-state exchange: one long message per other
-            # survivor (far leaner than PCL's per-lock reconstruction
-            # -- version state is rebuilt from the ledger, not from
-            # shipped lock registrations).
-            for survivor in survivors:
-                if survivor.node_id == coord:
-                    continue
-                done = self.sim.event()
-                yield from survivor.comm.send(
-                    coord, "gla_state", transfer, long=True, reply_event=done
-                )
-                yield done
-            yield from faults.redo_pages(record, coord)
-            faults.open_partition(home, coord)
-        # Wake validators that were ordered behind dead transactions --
-        # after reconciliation, so their re-check sees final state.
         for txn_id in dead_ids:
-            self._complete(txn_id)
+            pages = sorted(p for p, h in self._reservations.items() if h == txn_id)
+            for page in pages:
+                yield from self.store.access(coord, 2)
+                yield from coord_node.cpu.consume(
+                    faults.config.recovery_instructions_per_lock
+                )
+                entry = self._table_for(page).entry(page)
+                entry.seqno = max(entry.seqno, ledger.committed_version(page))
+                self._reservations.pop(page, None)
 
     def reintegrate(
         self, faults: "FaultManager", record: "CrashRecord"
     ) -> Generator[Event, Any, None]:
-        """Shared store: the directory state never moved; only the store
-        re-admits the node (RDMA: fabric re-registration).  PCL:
-        partition failback -- flush the interim host's committed dirty
-        pages of the partition and ship the directory back."""
-        if self.store is not None:
-            yield from self.store.reintegrate(record)
-            return
-        home = record.node
-        host = faults.gla_host(home)
-        if host == home or faults.is_down(host):
-            return
-        faults.close_partition(home)
-        cluster = self.cluster
-        host_node = cluster.nodes[host]
-        ledger = cluster.ledger
-        while True:
-            dirty = host_node.buffer.dirty_frames(
-                lambda page: self.gla_map(page) == home
-            )
-            dirty = [
-                (page, version)
-                for page, version in dirty
-                if ledger.committed_version(page) == version
-            ]
-            if not dirty:
-                break
-            dones = []
-            for page, version in dirty:
-                done = self.sim.event()
-                self.sim.process(
-                    self._failback_flush(page, version, host_node, done),
-                    name="failback-flush",
-                )
-                dones.append(done)
-            yield self.sim.all_of(dones)
-        done = self.sim.event()
-        failback: GlaTransferPayload = {"home": home}
-        yield from host_node.comm.send(
-            home, "gla_failback", failback, long=True, reply_event=done
-        )
-        yield done
-        faults.open_partition(home, None)
-
-    def _failback_flush(
-        self, page: PageId, version: int, node: "Node", done: Event
-    ) -> Generator[Event, Any, None]:
-        yield from self.cluster.storage.write(page, version, node.cpu)
-        node.buffer.mark_clean(page, version)
-        done.succeed()
+        """A store-resident directory never moved; only the store
+        re-admits the node (RDMA: fabric re-registration).  A partition
+        fails back: the interim host flushes its committed dirty pages
+        and ships the directory back."""
+        yield from self.store.reintegrate(record)
 
     # -- introspection / statistics ----------------------------------------
 
     def num_blocked(self) -> int:
         return sum(len(waiters) for waiters in self._waiters.values())
 
-    def lock_stats(self) -> Dict[str, float]:
-        total = self.local_lock_requests + self.remote_lock_requests
-        store = self.store
-        return {
-            "local_share": self.local_lock_requests / total if total else 1.0,
-            "remote_lock_requests": float(self.remote_lock_requests),
-            "lock_requests": float(total),
-            "mean_lock_wait": self.lock_wait_time.mean,
-            "page_requests": float(store.page_requests) if store else 0.0,
-            "mean_page_request_delay": (
-                store.page_request_delay.mean if store else 0.0
-            ),
-            "pages_supplied_with_grant": float(self.pages_supplied_with_grant),
-        }
-
     def reset_stats(self) -> None:
-        self.lock_wait_time.reset()
-        self.remote_grant_delay.reset()
-        if self.store is not None:
-            self.store.reset_stats()
-        self.local_lock_requests = 0
-        self.remote_lock_requests = 0
-        self.pages_supplied_with_grant = 0
-        self.pages_shipped_with_release = 0
+        super().reset_stats()
         self.timestamps_drawn = 0
         self.reservation_conflicts = 0
         self.validation_failures = 0

@@ -29,6 +29,16 @@ Modelling notes (see DESIGN.md):  authorized local S locks are
 registered directly in the GLA's lock table at zero message cost so
 that global deadlock detection sees them; revoke/ack message costs are
 charged when an X lock is granted over outstanding authorizations.
+
+The partition calls, the page carry and the partition failover and
+failback are the loose-coupling substrate's
+(:class:`~repro.cc.partitions.Partitions`).  This class stays separate
+from the shared-store 2PL (:mod:`repro.cc.store_locking`) although
+both share the lock-wait helper, because two things the store has no
+counterpart for make up most of it: read authorizations (a granted S
+lock lets later S locks and releases stay local until an X lock
+revokes them by message) and local processing at the GLA node, whose
+releases go out grouped per remote host and carry the modified pages.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from typing import (
     Callable,
     Dict,
     Generator,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -48,12 +57,12 @@ from typing import (
 
 from repro.cc.base import CCProtocol, LockGrant, PageSource
 from repro.cc.messages import (
-    GlaTransferPayload,
     LockRequestPayload,
     LockResponsePayload,
     ReleasePayload,
     RevokePayload,
 )
+from repro.cc.partitions import Partitions
 from repro.db.pages import PageId
 from repro.errors import TransactionAborted
 from repro.obs import phases
@@ -81,12 +90,11 @@ class PrimaryCopyProtocol(CCProtocol):
     name = "pcl"
 
     def __init__(self, cluster: "Cluster", gla_map: Callable[[PageId], int]) -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.config = cluster.config
-        self.detector = cluster.detector
-        self.recorder = cluster.recorder
+        super().__init__(cluster)
         self.gla_map = gla_map
+        #: The loose-coupling substrate: partition calls, page carry,
+        #: partition failover and failback.
+        self.store: Partitions = Partitions(cluster, gla_map)
         self.tables: List[LockTable] = [
             LockTable(f"gla{n}") for n in range(cluster.config.num_nodes)
         ]
@@ -95,18 +103,13 @@ class PrimaryCopyProtocol(CCProtocol):
         self._noforce = self.config.noforce
         self._read_opt = self.config.pcl_read_optimization
         self.lock_wait_time = Tally("pcl.lock_wait")
-        self.remote_grant_delay = Tally("pcl.remote_grant_delay")
         #: txn_id -> home node, recorded at grant time.  Failover uses
         #: it to find every lock a dead node's transactions left behind
         #: -- including locks of *completed* transactions whose release
         #: message was dropped by the crash (txn.held_locks of killed
         #: transactions alone cannot see those).
         self._holder_home: Dict[int, int] = {}
-        self.local_lock_requests = 0
-        self.remote_lock_requests = 0
         self.auth_read_locks = 0
-        self.pages_supplied_with_grant = 0
-        self.pages_shipped_with_release = 0
         self.revocations = 0
         for node in cluster.nodes:
             node.register_handler("lock_req", self._handle_lock_request)
@@ -127,15 +130,10 @@ class PrimaryCopyProtocol(CCProtocol):
         node_id = txn.node
         home = self.gla_map(page)
         mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
-        faults = self.cluster.faults
         while True:
             # The partition's lock authority may be hosted elsewhere
-            # during failover; resolve_gla also waits out the window in
-            # which the partition is fenced for reassignment.
-            if faults is None:
-                host = home
-            else:
-                host = yield from faults.resolve_gla(home)
+            # during failover.
+            host = yield from self.store.resolve(node_id, home)
             if host == node_id:
                 grant = yield from self._acquire_local(txn, page, mode, home)
                 return grant
@@ -170,7 +168,9 @@ class PrimaryCopyProtocol(CCProtocol):
         node = self.cluster.nodes[txn.node]
         table = self.tables[home]
         yield from node.cpu.consume(self._lock_op_instr)
-        yield from self._table_request(txn.txn_id, table, page, mode)
+        wait = self._lock(txn.txn_id, table, page, mode, phases.LOCK_LOCAL)
+        if wait is not None:
+            yield from wait
         self._note_holder(txn.txn_id, txn.node)
         entry = table.entry(page)
         if mode is LockMode.EXCLUSIVE:
@@ -194,7 +194,9 @@ class PrimaryCopyProtocol(CCProtocol):
         table = self.tables[home]
         already_held = table.holds(txn.txn_id, page) is not None
         yield from node.cpu.consume(self._lock_op_instr)
-        yield from self._table_request(txn.txn_id, table, page, LockMode.SHARED)
+        wait = self._lock(txn.txn_id, table, page, LockMode.SHARED, phases.LOCK_LOCAL)
+        if wait is not None:
+            yield from wait
         self._note_holder(txn.txn_id, txn.node)
         entry = table.entry(page)
         if not node.buffer.has_current_version(page, entry.seqno):
@@ -229,14 +231,7 @@ class PrimaryCopyProtocol(CCProtocol):
         self.remote_lock_requests += 1
         txn.remote_lock_requests += 1
         node = self.cluster.nodes[txn.node]
-        started = self.sim.now
         reply = self.sim.event()
-        faults = self.cluster.faults
-        if faults is not None:
-            faults.watch(host, reply)
-        # The whole round trip is message/comm delay from the
-        # requester's point of view; the GLA-side lock wait (if any) is
-        # re-attributed to LOCK_GLOBAL by the handler's inner span.
         request: LockRequestPayload = {
             "txn_id": txn.txn_id,
             "page": page,
@@ -246,14 +241,14 @@ class PrimaryCopyProtocol(CCProtocol):
             "requester": txn.node,
             "reply": reply,
         }
-        with self.recorder.span(txn.txn_id, phases.COMM):
-            yield from node.comm.send(host, "lock_req", request)
-            payload = yield reply
-        if faults is not None:
-            faults.unwatch(host, reply)
-            if payload.get("crashed"):
-                return None
-        self.remote_grant_delay.record(self.sim.now - started)
+        # The whole round trip is message/comm delay from the
+        # requester's point of view; the GLA-side lock wait (if any) is
+        # re-attributed to LOCK_GLOBAL by the handler's inner span.
+        payload = yield from self.store.call(
+            host, reply, txn.txn_id, node.comm.send(host, "lock_req", request)
+        )
+        if payload is None:
+            return None
         if payload.get("aborted"):
             raise TransactionAborted(txn.txn_id)
         txn.held_locks[page] = (mode is LockMode.EXCLUSIVE) or txn.held_locks.get(
@@ -265,13 +260,7 @@ class PrimaryCopyProtocol(CCProtocol):
             txn.auth_read_pages.discard(page)
         if payload.get("auth"):
             node.auth_cache[page] = True
-        seqno = payload["seqno"]
-        if payload.get("supplied"):
-            self.pages_supplied_with_grant += 1
-            return LockGrant(
-                seqno, source=PageSource.SUPPLIED, local=False, page_supplied=True
-            )
-        return LockGrant(seqno, source=PageSource.STORAGE, local=False)
+        return self._reply_grant(payload["seqno"], payload)
 
     def _handle_lock_request(
         self, node: "Node", payload: Mapping[str, Any]
@@ -286,17 +275,19 @@ class PrimaryCopyProtocol(CCProtocol):
         table = self.tables[home]
         yield from node.cpu.consume(self._lock_op_instr)
         try:
-            yield from self._table_request(
-                txn_id, table, page, mode, phase=phases.LOCK_GLOBAL
-            )
+            # Charged to the *requesting* transaction as a global lock
+            # wait: its process is suspended inside a COMM span
+            # meanwhile, so the retag nests correctly.
+            wait = self._lock(txn_id, table, page, mode, phases.LOCK_GLOBAL)
+            if wait is not None:
+                yield from wait
         except TransactionAborted:
             refusal: LockResponsePayload = {"aborted": True}
             yield from node.comm.send(
                 requester, "lock_rsp", refusal, reply_event=reply
             )
             return
-        faults = self.cluster.faults
-        if faults is not None and faults.is_down(requester):
+        if self.store.is_down(requester):
             # The requester died while the request waited in the table:
             # the grant can never be delivered, and crash recovery may
             # already have run (it cannot see a grant that happens after
@@ -308,16 +299,7 @@ class PrimaryCopyProtocol(CCProtocol):
         if mode is LockMode.EXCLUSIVE:
             yield from self._revoke_authorizations(node, page, entry, requester)
         seqno = entry.seqno
-        # The grant carries the page exactly when the permanent
-        # database cannot serve it: the GLA holds a dirty current copy
-        # (NOFORCE) and the requester's copy is stale or missing.
-        # Clean copies imply the permanent database is current, so the
-        # requester reads storage as usual.
-        supplied = (
-            self._noforce
-            and payload["cached_version"] != seqno
-            and node.buffer.has_current_dirty(page, seqno)
-        )
+        supplied = self.store.supplies(node, page, seqno, payload["cached_version"])
         auth = self._read_opt and mode is LockMode.SHARED
         if auth:
             entry.auth_nodes.add(requester)
@@ -350,58 +332,6 @@ class PrimaryCopyProtocol(CCProtocol):
                 t: n for t, n in homes.items() if t in held
             }
         homes[txn_id] = node_id
-
-    def _table_request(
-        self,
-        txn_id: int,
-        table: LockTable,
-        page: PageId,
-        mode: LockMode,
-        phase: str = phases.LOCK_LOCAL,
-    ) -> Iterator[Event]:
-        """Request a lock in ``table``, waiting (with deadlock handling).
-
-        ``phase`` classifies a blocked wait for the response-time
-        breakdown; the GLA-side handler of a remote request passes
-        LOCK_GLOBAL so the wait is charged to the *requesting*
-        transaction as a global lock wait (its process is suspended
-        inside a COMM span meanwhile, so the retag nests correctly).
-
-        Immediate grants (the common case) return an empty iterator --
-        no wait event is allocated and the caller's ``yield from``
-        never suspends; only a genuine conflict returns the waiting
-        generator.
-        """
-        wait_event: Optional[Event] = None
-
-        def on_grant() -> None:
-            self.detector.clear(txn_id)
-            assert wait_event is not None  # created before any queueing
-            wait_event.succeed()
-
-        if table.request(txn_id, page, mode, on_grant):
-            return iter(())
-        wait_event = self.sim.event()
-        return self._table_wait(txn_id, table, page, wait_event, phase)
-
-    def _table_wait(
-        self,
-        txn_id: int,
-        table: LockTable,
-        page: PageId,
-        wait_event: Event,
-        phase: str,
-    ) -> Generator[Event, Any, None]:
-        blocked_at = self.sim.now
-
-        def abort_victim() -> None:
-            table.cancel(txn_id, page)
-            wait_event.fail(TransactionAborted(txn_id))
-
-        self.detector.register_block(txn_id, table, abort_victim)
-        with self.recorder.span(txn_id, phase):
-            yield wait_event  # raises TransactionAborted if chosen as victim
-        self.lock_wait_time.record(self.sim.now - blocked_at)
 
     # -- read-authorization revocation ---------------------------------------
 
@@ -467,25 +397,23 @@ class PrimaryCopyProtocol(CCProtocol):
         # the duplicate deliveries an interruption after a send can
         # produce (see _apply_release).
         node = self.cluster.nodes[txn.node]
-        faults = self.cluster.faults
         held = txn.held_locks
         # Resolve every partition's effective host FIRST (this may wait
         # at failover gates), then apply the local release set without
         # yielding: a lock-table reconstruction snapshot therefore never
         # observes a half-released local set.
         hosts: Dict[int, int] = {}
-        if faults is not None:
-            # simlint: disable-next=DET001 -- held_locks order is the txn's deterministic access order
-            for page in held:
-                home = self.gla_map(page)
-                if home not in hosts:
-                    hosts[home] = yield from faults.resolve_gla(home)
+        # simlint: disable-next=DET001 -- held_locks order is the txn's deterministic access order
+        for page in held:
+            home = self.gla_map(page)
+            if home not in hosts:
+                hosts[home] = yield from self.store.resolve(txn.node, home)
         remote_groups: Dict[Tuple[int, int], List[Tuple[PageId, Optional[int]]]] = {}
         # simlint: disable-next=DET001 -- held_locks order is the txn's deterministic access order
         for page in list(held):
             new_version = txn.modified.get(page) if commit else None
             home = self.gla_map(page)
-            host = hosts.get(home, home)
+            host = hosts[home]
             if host == txn.node:
                 self._apply_release(txn.txn_id, page, new_version, home)
                 held.pop(page, None)
@@ -501,21 +429,14 @@ class PrimaryCopyProtocol(CCProtocol):
             else:
                 remote_groups.setdefault((host, home), []).append((page, new_version))
         for (host, home), pages in remote_groups.items():
-            modified = [(p, v) for p, v in pages if v is not None]
-            long = self._noforce and bool(modified)
-            if long:
-                self.pages_shipped_with_release += len(modified)
-                # The shipped pages are no longer this node's write
-                # responsibility -- the GLA becomes the owner.
-                for page, version in modified:
-                    node.buffer.mark_clean(page, version)
+            carried = self.store.carry(node, pages)
             release: ReleasePayload = {
                 "txn_id": txn.txn_id,
                 "pages": pages,
-                "carry_pages": long,
+                "carry_pages": carried,
                 "home": home,
             }
-            yield from node.comm.send(host, "release", release, long=long)
+            yield from node.comm.send(host, "release", release, long=carried)
             # Only now is the group the GLA's responsibility.
             for page, _version in pages:
                 held.pop(page, None)
@@ -548,37 +469,12 @@ class PrimaryCopyProtocol(CCProtocol):
         """GLA-side processing of a (possibly page-carrying) release."""
         txn_id = payload["txn_id"]
         home = payload.get("home", node.node_id)
-        faults = self.cluster.faults
         for page, new_version in payload["pages"]:
             if new_version is not None and payload["carry_pages"]:
-                if (
-                    faults is not None
-                    and home != node.node_id
-                    and faults.gla_host(home) != node.node_id
-                ):
-                    # The carry raced a GLA failback: this node is no
-                    # longer the partition host, so instead of buffering
-                    # the page dirty (nobody would write it back), flush
-                    # it straight to the permanent database.
-                    yield from self.cluster.storage.write(
-                        page, new_version, node.cpu
-                    )
-                else:
-                    # NOFORCE: the modified page travelled with the
-                    # release and the GLA takes over ownership (buffers
-                    # it dirty).
-                    yield from node.buffer.insert_received_page(
-                        page, new_version, dirty=True
-                    )
+                yield from self.store.receive(node, home, page, new_version)
             self._apply_release(txn_id, page, new_version, home)
 
     # -- hooks ------------------------------------------------------------------
-
-    def request_page_from_owner(
-        self, txn: Transaction, page: PageId, grant: LockGrant
-    ) -> Generator[Event, Any, Optional[int]]:  # pragma: no cover
-        raise RuntimeError("PCL never fetches pages from an owner node")
-        yield  # unreachable; makes this a generator
 
     def page_written_back(
         self, node_id: int, page: PageId, version: int
@@ -600,8 +496,7 @@ class PrimaryCopyProtocol(CCProtocol):
         dirty page buffered at its GLA -- the availability penalty the
         paper contrasts with GEM-resident lock state (section 5).
         """
-        home = record.node
-        faults.close_partition(home)
+        (home,) = self.store.fence(record)
         dead_node = self.cluster.nodes[home]
         dead_node.auth_cache.clear()
         # Requests queued in the dead table were being serviced by
@@ -622,27 +517,8 @@ class PrimaryCopyProtocol(CCProtocol):
                 del node.auth_cache[page]
             for entry in self.tables[node.node_id]._entries.values():
                 entry.auth_nodes.discard(home)
-        # A page-carrying release that was in flight to the dead GLA is
-        # gone, and the sender already marked its copy clean: a stale
-        # page of the dead partition with no surviving *dirty* current
-        # copy has no write-back path left and must be REDOne.  (A
-        # surviving dirty copy belongs to an unreleased X holder, whose
-        # release will ship it to the replacement host.)
-        ledger = self.cluster.ledger
-        for page, committed in ledger.stale_pages():
-            if self.gla_map(page) != home or page in record.lost:
-                continue
-            if any(
-                node.buffer.has_current_dirty(page, committed)
-                for node in self.cluster.nodes
-                if node.node_id != home
-            ):
-                continue
-            record.lost[page] = committed
 
-    def _partition_snapshot(
-        self, faults: "FaultManager", home: int
-    ) -> List[Tuple[int, PageId, LockMode]]:
+    def _partition_snapshot(self, home: int) -> List[Tuple[int, PageId, LockMode]]:
         """Lock registrations of surviving transactions for ``home``.
 
         Deterministic order: by node, transaction, page.  Valid while
@@ -650,7 +526,7 @@ class PrimaryCopyProtocol(CCProtocol):
         """
         registrations = []
         for node in self.cluster.nodes:
-            if node.node_id == home or faults.is_down(node.node_id):
+            if node.node_id == home or self.store.is_down(node.node_id):
                 continue
             for txn_id in sorted(node.tm.active):
                 txn = node.tm.active[txn_id][0]
@@ -661,50 +537,59 @@ class PrimaryCopyProtocol(CCProtocol):
                         )
         return registrations
 
+    def _registrations(self, home: int) -> int:
+        return len(self._partition_snapshot(home))
+
+    def _install_partition(self, home: int) -> None:
+        """Install the rebuilt table.  Fresh entries start at the
+        committed version (the old table's sequence numbers died with
+        the node)."""
+        table = LockTable(f"gla{home}", seqno_init=self.cluster.ledger.committed_version)
+        for txn_id, page, write in self._partition_snapshot(home):
+            mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
+            table.request(txn_id, page, mode, _noop)
+        self.tables[home] = table
+
+    def _table_locks(self, home: int) -> int:
+        return sum(
+            len(e.holders) + len(e.queue) for e in self.tables[home]._entries.values()
+        )
+
     def recover(
         self, faults: "FaultManager", record: "CrashRecord"
     ) -> Generator[Event, Any, None]:
         """PCL failover: reassign the GLA and rebuild its lock table.
 
-        The replacement (lowest surviving node) announces the failover,
-        the dead node's lock holdings at *surviving* partitions are
-        released, every survivor ships its lock state for the dead
-        partition in a long message, the replacement pays per-lock
-        reconstruction CPU and REDOes the lost pages, and finally the
-        rebuilt table is installed and the partition reopened -- all
-        explicit message/CPU/IO work that close coupling avoids.
+        Around the substrate's partition failover, the dead node's lock
+        holdings at *surviving* partitions are released, every
+        surviving registration for the dead partition costs
+        reconstruction CPU at the replacement, and the rebuilt table is
+        installed -- all explicit message/CPU/IO work that close
+        coupling avoids.
         """
-        cluster = self.cluster
+        yield from self.store.failover(
+            record,
+            self._reclaim(faults, record),
+            registrations=self._registrations,
+            install=self._install_partition,
+        )
+
+    def _reclaim(
+        self, faults: "FaultManager", record: "CrashRecord"
+    ) -> Generator[Event, Any, None]:
+        """Release what the dead node's transactions held at surviving
+        partitions (the dead partition's table is rebuilt from scratch).
+
+        The tables are authoritative, not txn.held_locks: a grant
+        registered at a surviving GLA just before the crash may never
+        have reached the requester, and a transaction that *completed*
+        on the dead node may have had its release message dropped by
+        the crash.  Both leave table state only recovery can reclaim,
+        so release everything held on behalf of a transaction homed at
+        the dead node (per the grant-time provenance map).
+        """
         home = record.node
-        repl = faults.coordinator()
-        repl_node = cluster.nodes[repl]
-        cfg = faults.config
-        ledger = cluster.ledger
-        survivors = [
-            n
-            for n in cluster.nodes
-            if n.node_id != home and not faults.is_down(n.node_id)
-        ]
-        transfer: GlaTransferPayload = {"home": home}
-        # 1. Failover announcement (delivery-confirmed short messages).
-        for survivor in survivors:
-            if survivor.node_id == repl:
-                continue
-            notice = self.sim.event()
-            yield from repl_node.comm.send(
-                survivor.node_id, "gla_failover", transfer, reply_event=notice
-            )
-            yield notice
-        # 2. Release what the dead node's transactions held at surviving
-        # partitions (the dead partition's table is rebuilt from
-        # scratch, so only surviving tables need explicit cleanup).
-        # The tables are authoritative, not txn.held_locks: a grant
-        # registered at a surviving GLA just before the crash may never
-        # have reached the requester, and a transaction that *completed*
-        # on the dead node may have had its release message dropped by
-        # the crash.  Both leave table state only recovery can reclaim,
-        # so release everything held on behalf of a transaction homed at
-        # the dead node (per the grant-time provenance map).
+        ledger = self.cluster.ledger
         dead_ids = {txn.txn_id for txn in record.killed}
         for gla_id, gla_table in enumerate(self.tables):
             if gla_id == home:
@@ -718,8 +603,8 @@ class PrimaryCopyProtocol(CCProtocol):
                 if gla_id == home:
                     continue
                 for page in sorted(gla_table.held_pages(txn_id)):
-                    yield from cluster.nodes[gla_id].cpu.consume(
-                        cfg.recovery_instructions_per_lock
+                    yield from self.cluster.nodes[gla_id].cpu.consume(
+                        faults.config.recovery_instructions_per_lock
                     )
                     entry = gla_table.entry(page)
                     entry.seqno = max(
@@ -727,107 +612,13 @@ class PrimaryCopyProtocol(CCProtocol):
                     )
                     gla_table.release(txn_id, page)
             self._holder_home.pop(txn_id, None)
-        # 3. State exchange: one long message per other survivor, plus
-        # per-registration reconstruction CPU at the replacement.  The
-        # partition is fenced, so the registration set is stable.
-        registrations = self._partition_snapshot(faults, home)
-        for survivor in survivors:
-            if survivor.node_id == repl:
-                continue
-            done = self.sim.event()
-            yield from survivor.comm.send(
-                repl, "gla_state", transfer, long=True, reply_event=done
-            )
-            yield done
-        if registrations:
-            yield from repl_node.cpu.consume(
-                len(registrations) * cfg.recovery_instructions_per_lock
-            )
-        # 4. REDO the dead partition's lost pages at the replacement.
-        yield from faults.redo_pages(record, repl)
-        # 5. Install the rebuilt table and reopen the partition at the
-        # replacement host -- synchronously, so no process can observe
-        # a half-built table.  Fresh entries start at the committed
-        # version (the old table's sequence numbers died with the node).
-        table = LockTable(f"gla{home}", seqno_init=ledger.committed_version)
-        for txn_id, page, write in self._partition_snapshot(faults, home):
-            mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
-            table.request(txn_id, page, mode, _noop)
-        self.tables[home] = table
-        faults.open_partition(home, repl)
 
     def reintegrate(
         self, faults: "FaultManager", record: "CrashRecord"
     ) -> Generator[Event, Any, None]:
-        """GLA failback: move the partition back to the restarted node.
-
-        The partition is fenced again; the interim host flushes its
-        dirty pages of the partition (it stops being the page owner),
-        ships the lock state back in a long message, and the home node
-        pays per-registration CPU before the partition reopens -- the
-        loose-coupling reintegration cost GEM does not have.
-        """
-        home = record.node
-        host = faults.gla_host(home)
-        if host == home or faults.is_down(host):
-            return
-        faults.close_partition(home)
-        cluster = self.cluster
-        host_node = cluster.nodes[host]
-        home_node = cluster.nodes[home]
-        # Flush the interim host's COMMITTED dirty pages of the
-        # partition so the permanent database is current when ownership
-        # returns home.  Uncommitted dirty frames stay: their owning
-        # transactions' releases will carry them to the home node.  The
-        # partition is fenced, so no new committed dirty page can
-        # appear; loop only because a page-carrying release may still
-        # arrive mid-flush.
-        ledger = cluster.ledger
-        while True:
-            dirty = host_node.buffer.dirty_frames(
-                lambda page: self.gla_map(page) == home
-            )
-            dirty = [
-                (page, version)
-                for page, version in dirty
-                if ledger.committed_version(page) == version
-            ]
-            if not dirty:
-                break
-            # Write back in parallel: the flush is random I/O to
-            # independent pages, limited by the storage server, not by
-            # a serial scan.
-            dones = []
-            for page, version in dirty:
-                done = self.sim.event()
-                self.sim.process(
-                    self._failback_flush(page, version, host_node, done),
-                    name="failback-flush",
-                )
-                dones.append(done)
-            yield self.sim.all_of(dones)
-        done = self.sim.event()
-        failback: GlaTransferPayload = {"home": home}
-        yield from host_node.comm.send(
-            home, "gla_failback", failback, long=True, reply_event=done
-        )
-        yield done
-        table = self.tables[home]
-        locks = sum(
-            len(e.holders) + len(e.queue) for e in table._entries.values()
-        )
-        if locks:
-            yield from home_node.cpu.consume(
-                locks * faults.config.recovery_instructions_per_lock
-            )
-        faults.open_partition(home, None)
-
-    def _failback_flush(
-        self, page: PageId, version: int, node: "Node", done: Event
-    ) -> Generator[Event, Any, None]:
-        yield from self.cluster.storage.write(page, version, node.cpu)
-        node.buffer.mark_clean(page, version)
-        done.succeed()
+        """GLA failback: the lock state moves back to the restarted
+        node, which pays CPU per registration."""
+        yield from self.store.reintegrate(record, self._table_locks)
 
     # -- statistics ----------------------------------------------------------------
 
@@ -835,30 +626,7 @@ class PrimaryCopyProtocol(CCProtocol):
         total = self.local_lock_requests + self.remote_lock_requests
         return self.local_lock_requests / total if total else 1.0
 
-    def lock_stats(self) -> Dict[str, float]:
-        return {
-            "local_share": self.local_share(),
-            "remote_lock_requests": float(self.remote_lock_requests),
-            "lock_requests": float(
-                self.local_lock_requests + self.remote_lock_requests
-            ),
-            "mean_lock_wait": self.lock_wait_time.mean,
-            # Pages travel with grants and releases, never on request.
-            "page_requests": 0.0,
-            "mean_page_request_delay": 0.0,
-            "pages_supplied_with_grant": float(self.pages_supplied_with_grant),
-        }
-
     def reset_stats(self) -> None:
-        self.lock_wait_time.reset()
-        self.remote_grant_delay.reset()
-        self.local_lock_requests = 0
-        self.remote_lock_requests = 0
+        super().reset_stats()
         self.auth_read_locks = 0
-        self.pages_supplied_with_grant = 0
-        self.pages_shipped_with_release = 0
         self.revocations = 0
-        for table in self.tables:
-            table.requests = 0
-            table.immediate_grants = 0
-            table.waits = 0

@@ -1,22 +1,28 @@
-"""The coupling substrate of the central-directory protocols.
+"""The coupling substrates every concurrency-control protocol runs on.
 
-Close coupling, in the paper's terms, is synchronous access to a
-*passive shared store*: the global lock table and the coherency state
-live in GEM, and every access is an entry read followed by a
-Compare&Swap write-back, with the accessing CPU held throughout.
-Memory disaggregation over RDMA (Wang et al.) is the same design with
-one-sided verbs against a remote memory pool.  This module is that
-substrate, written once; 2PL (:mod:`repro.cc.store_locking`), MVCC
-and DGCC run against it and never branch on the regime:
+Each protocol is written once against :class:`PageOwners`, the
+substrate interface; the coupling picks the implementation
+(:func:`shared_store`), and where the regimes differ only in cost the
+substrate method decides the cost.  Close coupling, in the paper's
+terms, is synchronous access to a *passive shared store*: the global
+lock table and the coherency state live in GEM, and every access is an
+entry read followed by a Compare&Swap write-back, with the accessing
+CPU held throughout.  Memory disaggregation over RDMA (Wang et al.) is
+the same design with one-sided verbs against a remote memory pool.
+Loose coupling (PCL) partitions the same state across the nodes and
+reaches it by messages (:mod:`repro.cc.partitions`).
 
-* :class:`PageOwners` -- the paper's NOFORCE coherency scheme without
-  any store: a grant names the live node whose buffer holds the
-  current page version, and a fetch is a ``page_req``/``page_rsp``
-  message exchange with it.  DGCC uses it as-is under PCL.
+* :class:`PageOwners` -- the substrate interface, plus the paper's
+  NOFORCE coherency scheme every substrate shares: a grant names the
+  live node whose buffer holds the current page version, and a fetch
+  is a ``page_req``/``page_rsp`` message exchange with it.  It also
+  holds the watched request/reply round trip and the crash-time scan
+  for pages whose only write-back copy died.
 * :class:`SharedStore` -- adds the word operations (``access``,
   ``update``, ``reread``).  Every store access is one chained entry
   (:func:`~repro.sim.resources.held_chain`: CPU, then the store server
   on top of it) built in :meth:`SharedStore._access`, the only place.
+  All state is in one partition that every node reaches directly.
 * :class:`GemStore` -- GEM: entry accesses against the GEM server; an
   update is two of them.  Page fetches go to the owner by message, or
   through a GEM exchange buffer (``config.page_transfer_via_gem``).
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 from typing import (
     Any,
+    Callable,
     Dict,
     Generator,
     Iterator,
@@ -45,6 +52,7 @@ from typing import (
 from repro.cc.base import LockGrant, PageSource
 from repro.cc.messages import PageRequestPayload, PageResponsePayload
 from repro.db.pages import PageId
+from repro.node.lock_table import LockTable
 from repro.obs import phases
 from repro.sim.engine import Event
 from repro.sim.resources import Resource, held_chain, held_chain_cancel
@@ -59,15 +67,39 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["PageOwners", "SharedStore", "GemStore", "RdmaStore", "shared_store"]
 
+#: Builds the message of a :meth:`PageOwners.publish` to one node:
+#: ``(sending node, destination, delivery event) -> send``.
+Broadcast = Callable[["Node", int, Event], Iterator[Event]]
+
 
 class PageOwners:
-    """NOFORCE page supply by ownership (section 3.2).
+    """The substrate interface, and NOFORCE page supply by ownership.
 
     The committer keeps the dirty page; a reader whose copy is missing
-    or stale is sent to the owner's buffer.  The coupling hooks at the
-    end are no-ops here: only a pool-backed store installs pages,
-    outlives a node's buffer or needs a lease and a re-registration.
+    or stale is sent to the owner's buffer (section 3.2).
+
+    Protocols see the state they coordinate -- lock table, version
+    directory, timestamp counter, batch area -- as :attr:`partitions`
+    partitions, each processed at one host at a time:
+
+    * :meth:`resolve` names the host serving a request for partition
+      :meth:`home` of a page; a request whose host is the requesting
+      node costs :meth:`process`, any other is a :meth:`call` to the
+      host.  :meth:`central` names the host of the cluster-wide state.
+    * :meth:`access` is a plain entry access; :meth:`publish` makes a
+      central update visible to every node.
+    * :meth:`fence`, :meth:`failover` and :meth:`reintegrate` are the
+      substrate's part of a node crash and restart.
+
+    The defaults describe a store: one partition that every node
+    reaches directly, whose accesses are word accesses and whose state
+    survives a crash.  :class:`~repro.cc.partitions.Partitions`
+    overrides them.  The hooks at the end are no-ops here: only a
+    pool-backed store installs pages, outlives a node's buffer or needs
+    a lease.
     """
+
+    partitions = 1
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
@@ -81,6 +113,175 @@ class PageOwners:
         for node in cluster.nodes:
             node.register_handler("page_req", self._handle_page_request)
 
+    # -- the substrate interface -------------------------------------------
+
+    def home(self, page: PageId) -> int:
+        """The partition ``page`` belongs to."""
+        return 0
+
+    def resolve(self, node_id: int, home: int) -> Generator[Event, Any, int]:
+        """The node that processes a request of ``node_id`` against
+        partition ``home`` (may wait while the partition is fenced)."""
+        return node_id
+        yield  # pragma: no cover - makes this a generator
+
+    def central(self, node_id: int) -> int:
+        """The node that processes a request of ``node_id`` against
+        cluster-wide state (timestamp counter, batch scheduler)."""
+        return node_id
+
+    def access(
+        self, node_id: int, count: int, txn_id: Optional[int] = None
+    ) -> Iterator[Event]:
+        """``count`` plain entry accesses (install, clean-up, re-check)."""
+        raise NotImplementedError
+
+    def process(
+        self, node_id: int, count: int, txn_id: Optional[int] = None
+    ) -> Iterator[Event]:
+        """Process ``count`` entry operations at this node's own host."""
+        return self.access(node_id, count, txn_id)
+
+    def owner(self, node_id: int) -> Optional[int]:
+        """The page owner a directory entry records for a page that
+        ``node_id`` committed: NOFORCE keeps it at the committer."""
+        return node_id if self._noforce else None
+
+    def publish(self, node_id: int, count: int, send: Broadcast) -> Iterator[Event]:
+        """Make a central update of ``count`` entries visible to all
+        nodes (``send`` builds the message to one node): word writes to
+        the store, where every node looks."""
+        return self.access(node_id, count)
+
+    def recovery_access(self, node_id: int) -> Iterator[Event]:
+        """Void one entry of cluster-wide state during failover."""
+        return self.access(node_id, 1)
+
+    def fence(self, record: "CrashRecord") -> Tuple[int, ...]:
+        """Crash instant: fence what died with the node and extend
+        ``record.lost``.  Returns the partitions whose state was lost:
+        none for a store, and pages it still holds did not die with the
+        node's buffer."""
+        self.trim_lost(record)
+        return ()
+
+    def failover(
+        self,
+        record: "CrashRecord",
+        reclaim: Iterator[Event],
+        tables: Sequence[LockTable],
+    ) -> Generator[Event, Any, None]:
+        """Failover around the protocol's ``reclaim`` of the dead
+        transactions' state, ending with REDO of the lost pages.
+
+        With surviving store state this is plain word accesses, no
+        messages and no reconstruction.  Once the store lets the dead
+        node's words be reclaimed (RDMA: its lease expired), the
+        protocol reclaims the dead transactions' entries.  Entries of
+        ``tables`` naming the dead buffer as page owner are void: for
+        pages that were not lost the permanent copy is current, so they
+        are cleared now; lost pages keep readers fenced until REDO
+        restores them.
+        """
+        faults = self.cluster.faults
+        assert faults is not None
+        yield from self.lease_wait(record)
+        yield from reclaim
+        coord = faults.coordinator()
+        dead = record.node
+        for table in tables:
+            entries = table._entries
+            for page in sorted(p for p, e in entries.items() if e.owner == dead):
+                if page in record.lost:
+                    continue
+                yield from self.access(coord, 1)
+                entries[page].owner = None
+        yield from faults.redo_pages(record, coord)
+        for table in tables:
+            for entry in table._entries.values():
+                if entry.owner == dead:
+                    entry.owner = None
+
+    def supplies(
+        self, node: "Node", page: PageId, seqno: int, cached_version: Optional[int]
+    ) -> bool:
+        """Whether the reply to a request whose copy is at
+        ``cached_version`` carries the page from ``node``'s buffer."""
+        raise NotImplementedError
+
+    def carry(
+        self, node: "Node", pages: Sequence[Tuple[PageId, Optional[int]]]
+    ) -> bool:
+        """Hand the modified ``pages`` over to a remote host; True when
+        they ride along with the message."""
+        raise NotImplementedError
+
+    def receive(
+        self, node: "Node", home: int, page: PageId, version: int
+    ) -> Generator[Event, Any, None]:
+        """Take over a page carried to ``node`` for partition ``home``."""
+        raise NotImplementedError
+
+    # -- shared by every substrate -----------------------------------------
+
+    def is_down(self, node_id: int) -> bool:
+        faults = self.cluster.faults
+        return faults is not None and faults.is_down(node_id)
+
+    def coordinator(self) -> int:
+        """Lowest-numbered surviving node (runs cluster-wide work)."""
+        faults = self.cluster.faults
+        return faults.coordinator() if faults is not None else 0
+
+    def call(
+        self,
+        host: int,
+        reply: Event,
+        txn_id: Optional[int],
+        request: Iterator[Event],
+    ) -> Generator[Event, Any, Optional[Mapping[str, Any]]]:
+        """Watched request/reply round trip: send ``request`` (a message
+        to ``host`` answered into ``reply``) and wait for the answer,
+        attributed to ``txn_id``'s COMM phase (None: no span, the time
+        stays in the caller's).  None when ``host`` crashed before
+        answering (the caller retries or gives up)."""
+        faults = self.cluster.faults
+        if faults is not None:
+            faults.watch(host, reply)
+        payload: Mapping[str, Any]
+        if txn_id is None:
+            yield from request
+            payload = yield reply
+        else:
+            with self.recorder.span(txn_id, phases.COMM):
+                yield from request
+                payload = yield reply
+        if faults is not None:
+            faults.unwatch(host, reply)
+            if payload.get("crashed"):
+                return None
+        return payload
+
+    def orphans(self, record: "CrashRecord", belongs: Callable[[PageId], bool]) -> None:
+        """Extend ``record.lost`` with each stale page ``belongs`` selects
+        that no surviving node buffers dirty at its committed version:
+        its only write-back path died with the node (a page-carrying
+        message in flight to it, or its owner's buffer), so it must be
+        REDOne.  A surviving dirty copy will still reach storage."""
+        nodes = self.cluster.nodes
+        for page, committed in self.cluster.ledger.stale_pages():
+            if page in record.lost or not belongs(page):
+                continue
+            if any(
+                node.buffer.has_current_dirty(page, committed)
+                for node in nodes
+                if node.node_id != record.node
+            ):
+                continue
+            record.lost[page] = committed
+
+    # -- page supply by ownership ------------------------------------------
+
     def grant(
         self, node_id: int, page: PageId, seqno: int, owner: Optional[int]
     ) -> LockGrant:
@@ -88,10 +289,13 @@ class PageOwners:
         known: fetch from the owner if another live node buffers the
         current version, else read permanent storage (gated behind REDO
         if the crashed owner's copy was lost)."""
-        if self._noforce and owner is not None and owner != node_id:
-            faults = self.cluster.faults
-            if faults is None or not faults.is_down(owner):
-                return LockGrant(seqno, source=PageSource.OWNER, owner_node=owner)
+        if (
+            self._noforce
+            and owner is not None
+            and owner != node_id
+            and not self.is_down(owner)
+        ):
+            return LockGrant(seqno, source=PageSource.OWNER, owner_node=owner)
         return LockGrant(seqno, source=PageSource.STORAGE)
 
     def fetch(
@@ -125,19 +329,18 @@ class PageOwners:
     ) -> Generator[Event, Any, Optional[int]]:
         """Short page request, long response from the owner's buffer."""
         reply = self.sim.event()
-        faults = self.cluster.faults
-        if faults is not None:
-            faults.watch(owner, reply)
         request: PageRequestPayload = {
             "page": page,
             "reply": reply,
             "requester": node_id,
         }
-        yield from self.cluster.nodes[node_id].comm.send(owner, "page_req", request)
-        payload = yield reply
-        if faults is not None:
-            faults.unwatch(owner, reply)
-        if payload.get("crashed"):
+        payload = yield from self.call(
+            owner,
+            reply,
+            None,
+            self.cluster.nodes[node_id].comm.send(owner, "page_req", request),
+        )
+        if payload is None:
             return None
         version: Optional[int] = payload.get("version")
         return version
@@ -175,7 +378,7 @@ class PageOwners:
         return iter(())
 
     def reintegrate(self, record: "CrashRecord") -> Iterator[Event]:
-        """Re-admit the restarted node to the store."""
+        """Re-admit the restarted node to the substrate."""
         return iter(())
 
     def reset_stats(self) -> None:
@@ -233,11 +436,6 @@ class SharedStore(PageOwners):
             except BaseException:
                 held_chain_cancel(done)
                 raise
-
-    def access(
-        self, node_id: int, count: int, txn_id: Optional[int] = None
-    ) -> Generator[Event, Any, None]:
-        raise NotImplementedError
 
     def update(
         self, node_id: int, count: int = 1, txn_id: Optional[int] = None
@@ -437,11 +635,14 @@ class RdmaStore(SharedStore):
         yield from self.reread(record.node, 2)
 
 
-def shared_store(cluster: "Cluster") -> Optional[SharedStore]:
-    """The cluster's shared store; None under loose coupling (PCL)."""
+def shared_store(cluster: "Cluster", gla_map: Callable[[PageId], int]) -> PageOwners:
+    """The cluster's coupling substrate: the shared store (GEM, RDMA),
+    or the GLA partitions of loose coupling (PCL, ``gla_map``)."""
     coupling = cluster.config.coupling
     if coupling is Coupling.GEM:
         return GemStore(cluster)
     if coupling is Coupling.RDMA:
         return RdmaStore(cluster)
-    return None
+    from repro.cc.partitions import Partitions
+
+    return Partitions(cluster, gla_map)

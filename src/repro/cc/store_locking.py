@@ -22,13 +22,21 @@ GEM lock authorizations (``config.gem_lock_authorizations``, section
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Mapping,
+    Optional,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.cc.base import CCProtocol, LockGrant
 from repro.cc.messages import GltRevokePayload
 from repro.cc.store import SharedStore, shared_store
 from repro.db.pages import PageId
-from repro.errors import TransactionAborted
 from repro.obs import phases
 from repro.node.lock_table import LockMode, LockTable
 from repro.sim.engine import Event
@@ -46,18 +54,14 @@ __all__ = ["StoreLockingProtocol"]
 class StoreLockingProtocol(CCProtocol):
     """Global lock table in the shared store, synchronous entry updates."""
 
-    def __init__(self, cluster: "Cluster") -> None:
-        store = shared_store(cluster)
-        if store is None:
+    def __init__(self, cluster: "Cluster", gla_map: Callable[[PageId], int]) -> None:
+        store = shared_store(cluster, gla_map)
+        if not isinstance(store, SharedStore):
             raise ValueError("StoreLockingProtocol requires a shared store")
+        super().__init__(cluster)
         self.store: SharedStore = store
         #: Named after the coupling, like PCL's "pcl".
         self.name = cluster.config.coupling.value
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.config = cluster.config
-        self.detector = cluster.detector
-        self.recorder = cluster.recorder
         self.glt = LockTable("glt")
         self._lock_op_instr = self.config.instructions_per_lock_op
         self._auth = self.config.gem_lock_authorizations
@@ -81,7 +85,6 @@ class StoreLockingProtocol(CCProtocol):
         node_id = txn.node
         txn_id = txn.txn_id
         node = self.cluster.nodes[node_id]
-        mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
         authorized = self._auth and page in node.gem_auth
         if authorized:
             # Sole-interest refinement (section 2): the local lock
@@ -97,30 +100,12 @@ class StoreLockingProtocol(CCProtocol):
                 if holder is not None and holder != node_id:
                     with self.recorder.span(txn_id, phases.COMM):
                         yield from self._revoke_authorization(node, page, holder)
-        # Created lazily: immediate grants (the common case) never
-        # invoke on_grant, so the wait event would be garbage.
-        wait_event: Optional[Event] = None
-
-        def on_grant() -> None:
-            self.detector.clear(txn_id)
-            assert wait_event is not None  # created before any queueing
-            wait_event.succeed()
-
-        granted = self.glt.request(txn_id, page, mode, on_grant)
-        if not granted:
-            wait_event = self.sim.event()
-            blocked_at = self.sim.now
-
-            def abort_victim() -> None:
-                self.glt.cancel(txn_id, page)
-                wait_event.fail(TransactionAborted(txn_id))
-
-            self.detector.register_block(txn_id, self.glt, abort_victim)
-            # The GLT is the global lock authority: waits here are
-            # global lock waits in the breakdown.
-            with self.recorder.span(txn_id, phases.LOCK_GLOBAL):
-                yield wait_event  # raises TransactionAborted if chosen victim
-            self.lock_wait_time.record(self.sim.now - blocked_at)
+        # The GLT is the global lock authority: waits here are global
+        # lock waits in the breakdown.
+        mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
+        wait = self._lock(txn_id, self.glt, page, mode, phases.LOCK_GLOBAL)
+        if wait is not None:
+            yield from wait
             if not authorized:
                 # Re-read the entry after wake-up to observe the grant.
                 yield from self.store.reread(node_id, 1, txn_id)
@@ -139,12 +124,6 @@ class StoreLockingProtocol(CCProtocol):
             node.gem_auth.add(page)
         return self.store.grant(node_id, page, entry.seqno, entry.owner)
 
-    def request_page_from_owner(
-        self, txn: Transaction, page: PageId, grant: LockGrant
-    ) -> Generator[Event, Any, Optional[int]]:
-        version = yield from self.store.fetch(txn, page, grant)
-        return version
-
     # -- GEM lock authorizations ------------------------------------------------
 
     def _revoke_authorization(
@@ -158,20 +137,16 @@ class StoreLockingProtocol(CCProtocol):
         """
         self.authorization_revocations += 1
         ack = self.sim.event()
-        faults = self.cluster.faults
-        if faults is not None:
-            # A crash of the holder clears its authorization in
-            # crash_node; answer the ack so the requester proceeds.
-            faults.watch(holder, ack)
         revoke: GltRevokePayload = {
             "page": page,
             "ack": ack,
             "requester": node.node_id,
         }
-        yield from node.comm.send(holder, "glt_revoke", revoke)
-        yield ack
-        if faults is not None:
-            faults.unwatch(holder, ack)
+        # A crash of the holder clears its authorization in crash_node;
+        # the crash sentinel answers the ack so the requester proceeds.
+        yield from self.store.call(
+            holder, ack, None, node.comm.send(holder, "glt_revoke", revoke)
+        )
         yield from self.store.reread(node.node_id, 1)
 
     def _handle_authorization_revoke(
@@ -191,33 +166,18 @@ class StoreLockingProtocol(CCProtocol):
     # -- release ---------------------------------------------------------------
 
     def commit_release(self, txn: Transaction) -> Generator[Event, Any, None]:
-        node_id = txn.node
-        node = self.cluster.nodes[node_id]
-        store = self.store
         # Publish the committed pages *before* releasing any lock: a
         # grantee woken by the release must find them (RDMA pool).
         if self._noforce and txn.modified:
-            yield from store.install(node_id, sorted(txn.modified.items()))
-        # No defensive copy: only the owning transaction's process
-        # mutates held_locks, and it is suspended in this generator.
-        for page in txn.held_locks:
-            authorized = self._auth and page in node.gem_auth
-            if authorized:
-                yield from node.cpu.consume(self._lock_op_instr)
-            else:
-                yield from store.update(node_id)
-            entry = self.glt.entry(page)
-            new_version = txn.modified.get(page)
-            if new_version is not None:
-                entry.seqno = new_version
-                entry.owner = node_id if self._noforce else None
-            granted = self.glt.release(txn.txn_id, page)
-            if granted and not authorized:
-                # One grant notification per woken waiter.
-                yield from store.reread(node_id, len(granted))
-        txn.held_locks.clear()
+            yield from self.store.install(txn.node, sorted(txn.modified.items()))
+        yield from self._release(txn, txn.modified)
 
     def abort_release(self, txn: Transaction) -> Generator[Event, Any, None]:
+        yield from self._release(txn, {})
+
+    def _release(
+        self, txn: Transaction, modified: Mapping[PageId, int]
+    ) -> Generator[Event, Any, None]:
         # Idempotent and interruption-safe: pages are popped from
         # held_locks as they are released (not cleared in one sweep at
         # the end), and a page whose GLT entry is already gone -- a
@@ -238,6 +198,11 @@ class StoreLockingProtocol(CCProtocol):
                 yield from node.cpu.consume(self._lock_op_instr)
             else:
                 yield from self.store.update(node_id)
+            new_version = modified.get(page)
+            if new_version is not None:
+                entry = self.glt.entry(page)
+                entry.seqno = new_version
+                entry.owner = self.store.owner(node_id)
             # Re-check after yielding: a crash-path abort may have
             # raced this release while the entry update was queued.
             if self.glt.holds(txn_id, page) is not None:
@@ -246,6 +211,7 @@ class StoreLockingProtocol(CCProtocol):
                 granted = []
             held.pop(page, None)
             if granted and not authorized:
+                # One grant notification per woken waiter.
                 yield from self.store.reread(node_id, len(granted))
 
     # -- write-back hook ----------------------------------------------------------
@@ -281,23 +247,29 @@ class StoreLockingProtocol(CCProtocol):
             self.cluster.nodes[record.node].gem_auth.clear()
             for entry in self.glt._entries.values():
                 entry.auth_nodes.discard(record.node)
-        self.store.trim_lost(record)
+        self.store.fence(record)
 
     def recover(
         self, faults: "FaultManager", record: "CrashRecord"
     ) -> Generator[Event, Any, None]:
         """Failover with a surviving GLT: release the dead node's locks.
 
-        Once the store lets the dead node's entries be reclaimed (RDMA:
-        its lease expired), the coordinator scans the intact GLT for
-        locks held by the crashed node's transactions, makes each
-        entry's sequence number consistent with the ledger, and
-        releases -- plain entry updates, no lock-state reconstruction
-        and no inter-node messages.  Then it REDOes the lost pages from
-        the dead node's log.
+        The coordinator scans the intact GLT for locks held by the
+        crashed node's transactions, makes each entry's sequence number
+        consistent with the ledger, and releases -- plain entry
+        updates, no lock-state reconstruction and no inter-node
+        messages -- once the store lets the dead node's entries be
+        reclaimed.  Then the store voids the dead owner's entries and
+        REDOes the lost pages from the dead node's log.
         """
+        yield from self.store.failover(
+            record, self._reclaim(faults, record), (self.glt,)
+        )
+
+    def _reclaim(
+        self, faults: "FaultManager", record: "CrashRecord"
+    ) -> Generator[Event, Any, None]:
         store = self.store
-        yield from store.lease_wait(record)
         coord = faults.coordinator()
         coord_node = self.cluster.nodes[coord]
         ledger = self.cluster.ledger
@@ -321,20 +293,6 @@ class StoreLockingProtocol(CCProtocol):
                 granted = self.glt.release(txn.txn_id, page)
                 if granted:
                     yield from store.reread(coord, len(granted))
-        # Ownership entries pointing at the dead buffer are void.  For
-        # non-lost pages the permanent copy is current, so clear them
-        # now; lost pages keep readers fenced until REDO restores them.
-        for page in sorted(
-            p for p, e in self.glt._entries.items() if e.owner == record.node
-        ):
-            if page in record.lost:
-                continue
-            yield from store.access(coord, 1)
-            self.glt._entries[page].owner = None
-        yield from faults.redo_pages(record, coord)
-        for entry in self.glt._entries.values():
-            if entry.owner == record.node:
-                entry.owner = None
 
     def reintegrate(
         self, faults: "FaultManager", record: "CrashRecord"
@@ -361,10 +319,6 @@ class StoreLockingProtocol(CCProtocol):
         }
 
     def reset_stats(self) -> None:
-        self.lock_wait_time.reset()
-        self.store.reset_stats()
-        self.glt.requests = 0
-        self.glt.immediate_grants = 0
-        self.glt.waits = 0
+        super().reset_stats()
         self.authorized_lock_requests = 0
         self.authorization_revocations = 0

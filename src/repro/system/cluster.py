@@ -137,10 +137,10 @@ class Cluster:
             Node(self.sim, node_id, self) for node_id in range(config.num_nodes)
         ]
         # -- protocol -------------------------------------------------------
-        # Each protocol is written once against the coupling: 2PL is
-        # the paper's GLT in the shared store (GEM, RDMA) or primary
-        # copy locking (PCL); MVCC and DGCC take the shared store, if
-        # any, from the coupling themselves.
+        # Each protocol is written once against the coupling substrate
+        # (repro.cc.store): 2PL is the paper's GLT in the shared store
+        # (GEM, RDMA) or primary copy locking (PCL); MVCC and DGCC take
+        # the substrate from the coupling themselves.
         if config.protocol == "mvcc":
             self.protocol = MvccProtocol(self, self._gla_map)
         elif config.protocol == "dgcc":
@@ -148,7 +148,7 @@ class Cluster:
         elif config.coupling is Coupling.PCL:
             self.protocol = PrimaryCopyProtocol(self, self._gla_map)
         else:
-            self.protocol = StoreLockingProtocol(self)
+            self.protocol = StoreLockingProtocol(self, self._gla_map)
         for node in self.nodes:
             node.protocol = self.protocol
             node.tm = TransactionManager(node)

@@ -172,6 +172,7 @@ def lint_real_cc(mutate=None):
         "repro/cc/dgcc.py",
         "repro/cc/store.py",
         "repro/cc/store_locking.py",
+        "repro/cc/partitions.py",
         "repro/cc/pcl.py",
     ]:
         path = REPO_SRC / rel
