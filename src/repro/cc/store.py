@@ -55,7 +55,7 @@ from repro.db.pages import PageId
 from repro.node.lock_table import LockTable
 from repro.obs import phases
 from repro.sim.engine import Event
-from repro.sim.resources import Resource, held_chain, held_chain_cancel
+from repro.sim.resources import Resource, compound_cancel, held_chain
 from repro.sim.stats import Tally
 from repro.system.config import Coupling
 from repro.workload.transaction import Transaction
@@ -434,7 +434,7 @@ class SharedStore(PageOwners):
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                compound_cancel(done)
                 raise
 
     def update(

@@ -22,7 +22,7 @@ from typing import Any, Generator, Optional, Tuple
 from repro.db.pages import PageId, VersionLedger
 from repro.devices.disk_cache import DiskCache
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource, Store, hold_seq, hold_seq_cancel
+from repro.sim.resources import Resource, Store, compound_cancel, hold_seq
 from repro.sim.rng import Stream
 
 #: Extra legs prepended to an I/O's ``hold_seq`` chain (the issuing
@@ -119,7 +119,7 @@ class DiskArray:
         try:
             yield done
         except BaseException:
-            hold_seq_cancel(done)
+            compound_cancel(done)
             raise
         if not hit:
             self.disk_reads += 1
@@ -153,7 +153,7 @@ class DiskArray:
         try:
             yield done
         except BaseException:
-            hold_seq_cancel(done)
+            compound_cancel(done)
             raise
         if absorbed:
             if version is not None:

@@ -22,7 +22,7 @@ from repro.devices.disk import DiskArray
 from repro.devices.gem import GemDevice
 from repro.node.cpu import CpuPool
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import held_chain, held_chain_cancel
+from repro.sim.resources import compound_cancel, held_chain
 
 __all__ = ["StorageDirectory"]
 
@@ -104,7 +104,7 @@ class StorageDirectory:
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                compound_cancel(done)
                 raise
             return self.ledger.storage_version(page)
         # Disk-resident file: the CPU setup slice rides as the lead leg
@@ -141,7 +141,7 @@ class StorageDirectory:
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                compound_cancel(done)
                 raise
             if version is not None:
                 self.ledger.write_storage(page, version)
@@ -163,7 +163,7 @@ class StorageDirectory:
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                compound_cancel(done)
                 raise
             if version is not None:
                 self.ledger.write_storage(page, version)
@@ -201,7 +201,7 @@ class StorageDirectory:
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                compound_cancel(done)
                 raise
             return
         log_disk = self._log_disks[node_id]
@@ -233,7 +233,7 @@ class StorageDirectory:
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                compound_cancel(done)
                 raise
             return
         log_disk = self._log_disks[node_id]

@@ -691,7 +691,8 @@ class FileAnalyzer(ast.NodeVisitor):
                     "SIM001",
                     "grant wait on request() has no cancel path: an "
                     "interrupt here leaks the queued unit (use "
-                    "Resource.grab()/acquire(), or try/except cancel)",
+                    "Resource.acquire(), or try/except BaseException: "
+                    "cancel)",
                 )
 
     def _function_nodes(self, func) -> List[ast.AST]:

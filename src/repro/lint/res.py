@@ -4,21 +4,18 @@ The simulator's resource layer hands out *obligations*:
 
 * ``entry = res.hold(d)`` / ``held_chain(...)`` / ``hold_seq(...)``
   return an entry that must either complete (``yield entry``) or be
-  cancelled (``res.hold_cancel(entry)`` / ``held_chain_cancel`` /
-  ``hold_seq_cancel``) -- otherwise the queued slice leaks when an
-  interrupt tears the process off the wait.
+  cancelled (``res.hold_cancel(entry)`` / ``compound_cancel(entry)``)
+  -- otherwise the queued slice leaks when an interrupt tears the
+  process off the wait.
 * ``req = res.request()`` is the same until the yield succeeds -- and
   *then* the unit is held and must be given back with
   ``res.release()`` on **every** path out of the function.
-* ``yield from res.grab()`` is the cancel-safe wait: once it returns,
-  the unit is held and ``res.release()`` is owed on every path.
 
 The analysis runs the dataflow framework over the function's CFG.
 Facts are ``(status, kind, receiver, line, col)`` tuples per tracked
-name (or per receiver expression for ``grab``); ``status`` moves
-``pending -> done`` (entry completed/cancelled) or ``pending -> held
--> done`` (request/grab granted, then released).  The CFG's
-``"except"`` edges model interrupts thrown at suspension points, so a
+name; ``status`` moves ``pending -> done`` (entry completed/cancelled)
+or ``pending -> held -> done`` (request granted, then released).  The
+CFG's ``"except"`` edges model interrupts thrown at suspension points, so a
 ``yield entry`` guarded by ``try/except BaseException: cancel; raise``
 is clean while an unguarded one reaches the raise exit still pending.
 
@@ -42,7 +39,7 @@ __all__ = ["ResAnalyzer"]
 #: Acquisition helpers called as free functions.
 _FREE_ACQUIRERS = {"held_chain": "held_chain", "hold_seq": "hold_seq"}
 #: Cancel helpers called as free functions, one obligation argument.
-_FREE_CANCELS = {"held_chain_cancel", "hold_seq_cancel"}
+_FREE_CANCELS = {"compound_cancel"}
 #: Cancel methods: ``recv.hold_cancel(entry)`` / ``recv.cancel(entry)``.
 _METHOD_CANCELS = {"hold_cancel", "cancel"}
 
@@ -202,8 +199,8 @@ class _FunctionAnalysis:
                         f"{kind} obligation can escape the function on "
                         f"{how} while still pending: guard the wait with "
                         "try/except BaseException and cancel "
-                        "(hold_cancel/held_chain_cancel/hold_seq_cancel/"
-                        "cancel) before re-raising",
+                        "(hold_cancel/compound_cancel/cancel) before "
+                        "re-raising",
                     )
                 elif status == _HELD:
                     self._flag(
@@ -374,21 +371,6 @@ class _FunctionAnalysis:
     def _apply_acquisition(
         self, stmt: ast.stmt, normal: Dict[str, FrozenSet[Fact]], collect: bool
     ) -> None:
-        # ``yield from recv.grab()``: the unit is held once this
-        # statement completes normally.
-        for sub in _walk_roots(_effect_roots(stmt)):
-            if (
-                isinstance(sub, ast.YieldFrom)
-                and isinstance(sub.value, ast.Call)
-                and isinstance(sub.value.func, ast.Attribute)
-                and sub.value.func.attr == "grab"
-                and not sub.value.args
-            ):
-                receiver = _unparse(sub.value.func.value)
-                key = f"res:{receiver}"
-                normal[key] = frozenset(
-                    {(_HELD, "grab", receiver, sub.value.lineno, sub.value.col_offset)}
-                )
         # ``name = <acquisition call>``
         value: Optional[ast.expr]
         targets: List[ast.expr]

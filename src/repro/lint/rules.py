@@ -71,8 +71,9 @@ _RULE_LIST = [
         "A process torn off a pending Resource.request() (deadlock abort, "
         "node crash) must cancel it; otherwise a later release grants the "
         "unit to a dead event and it leaks forever.  Guard the grant wait "
-        "with try/except cancel (Resource.grab) and the hold with "
-        "try/finally release (Resource.acquire does both).",
+        "with try/except BaseException: cancel; raise (the MPL-slot "
+        "shape) and the hold with try/finally release, or use "
+        "Resource.acquire, which does both.",
     ),
     Rule(
         "SIM002",
@@ -103,11 +104,11 @@ _RULE_LIST = [
     Rule(
         "RES002",
         "held resource not released on every path",
-        "After yield from grab() (or a completed request() wait) the unit "
-        "is held; every exit from the function -- normal or exceptional -- "
-        "must release() it.  A missing release on an exception path "
-        "shrinks the resource's capacity for the rest of the run, "
-        "silently serialising the simulated system.  Use try/finally.",
+        "After a completed request() wait the unit is held; every exit "
+        "from the function -- normal or exceptional -- must release() it.  "
+        "A missing release on an exception path shrinks the resource's "
+        "capacity for the rest of the run, silently serialising the "
+        "simulated system.  Use try/finally.",
     ),
     Rule(
         "RES003",

@@ -30,10 +30,9 @@ from repro.sim.stats import Tally, TimeWeighted
 __all__ = [
     "Resource",
     "Store",
+    "compound_cancel",
     "held_chain",
-    "held_chain_cancel",
     "hold_seq",
-    "hold_seq_cancel",
 ]
 
 
@@ -213,14 +212,8 @@ class Resource:
             # Coalesced hold / chain leg: arm the slice-end timer
             # directly instead of waking the holder just to start it.
             data = event.data
-            if type(data) is _ChainState:
-                # A held_chain leg: advance the waiting stage to its
-                # held twin (OUTER_QUEUED -> OUTER_HELD, INNER_QUEUED
-                # -> INNER_HELD, deliberately adjacent codes) so a
-                # cancel releases instead of trying to unqueue.
-                data.stage += 1
-            elif type(data) is _SeqState:
-                # A hold_seq leg: the chain now holds this resource.
+            if type(data) is _Compound:
+                # A compound leg: the access now holds this resource.
                 data.holding = self
             event._scheduled = True
             duration = event.duration
@@ -254,24 +247,6 @@ class Resource:
                 self.queue_stat.update(len(self._queue), self.sim.now)
                 return
         raise ValueError(f"cancel() of unknown request on {self.name!r}")
-
-    def grab(self) -> Generator[Event, Any, None]:
-        """Request a unit and wait for the grant, cancel-safe.
-
-        Unlike a bare ``yield resource.request()``, an exception thrown
-        into the generator while queued (deadlock abort, node crash)
-        cancels the pending request, so a later release cannot grant
-        the unit to a dead event and leak it.  The caller holds the
-        unit on return and must pair this with ``release()`` in a
-        ``finally`` block.
-        """
-        # simlint: disable-next=RES002 -- grab() transfers the held unit to its caller by contract
-        request = self.request()
-        try:
-            yield request
-        except BaseException:
-            self.cancel(request)
-            raise
 
     def hold(self, duration: float) -> Event:
         """Coalesced slice: one scheduled entry for grant *and* end.
@@ -421,130 +396,189 @@ class Resource:
 # -- compound held accesses -----------------------------------------------
 
 
-class _ChainState:
-    """Progress record of one :func:`held_chain` compound access."""
+class _Compound:
+    """Progress record of one compound access (:func:`hold_seq`,
+    :func:`held_chain`): the legs, the next leg to start, the unit the
+    current leg holds, and -- for a nested chain -- the first leg's unit,
+    which stays held until the whole access completes."""
 
-    __slots__ = ("outer", "inner", "inner_time", "done", "stage", "entry")
+    __slots__ = ("legs", "index", "holding", "nested", "outer", "done", "entry")
 
-    outer: Resource
-    inner: Resource
-    inner_time: float
+    legs: Tuple[Tuple[Optional[Resource], float, Any], ...]
+    index: int
+    holding: Optional[Resource]
+    nested: bool
+    outer: Optional[Resource]
     done: _Callback
-    stage: int
     entry: _Callback
 
 
-#: :attr:`_ChainState.stage` values, in lifecycle order.
-_CHAIN_OUTER_QUEUED = 1
-_CHAIN_OUTER_HELD = 2
-_CHAIN_INNER_QUEUED = 3
-_CHAIN_INNER_HELD = 4
-_CHAIN_DONE = 5
+def _advance(entry: Event) -> None:
+    """End the current leg (if any) and start the next one.
 
-
-def _uncontended_grant(resource: Resource, now: float) -> None:
-    """Inlined uncontended grant bookkeeping (see ``request`` fast path):
-    ``busy_stat.update(busy + 1, now)``, ``wait_time.record(0.0)`` and the
-    service count, exactly the float operations of ``_grant(waited=0)``."""
-    resource._busy = busy = resource._busy + 1
-    stat = resource.busy_stat
-    stat._area += stat._value * (now - stat._last_time)
-    stat._last_time = now
-    stat._value = busy
-    if busy > stat.max:
-        stat.max = busy
-    # Deferred zero-wait record (Tally._fold): the count stays eager,
-    # the moments fold in before the next read/record.
-    tally = resource.wait_time
-    tally.count += 1
-    tally._zeros += 1
-    if tally._samples is not None:
-        tally._samples.append(0.0)
-    resource.services += 1
-
-
-def _enqueue_entry(resource: Resource, entry: _Callback, duration: float) -> None:
-    """Park a chain/hold entry on ``resource``'s FIFO wait queue."""
-    entry._scheduled = False
-    entry.duration = duration
-    now = resource.sim.now
-    queue = resource._queue
-    queue.append((entry, now))
-    # Inlined queue_stat.update(len(queue), now), as in request().
-    stat = resource.queue_stat
-    stat._area += stat._value * (now - stat._last_time)
-    stat._last_time = now
-    depth = len(queue)
-    stat._value = depth
-    if depth > stat.max:
-        stat.max = depth
-
-
-def _unqueue_entry(resource: Resource, entry: _Callback) -> None:
-    """Withdraw a still-queued chain/hold entry (cancel path)."""
-    for index, (queued, _enqueued_at) in enumerate(resource._queue):
-        if queued is entry:
-            del resource._queue[index]
-            resource.queue_stat.update(len(resource._queue), resource.sim.now)
-            return
-    raise ValueError(f"cancel of unknown chain entry on {resource.name!r}")
-
-
-def _chain_stage2(entry: Event) -> None:
-    """Outer hold elapsed: acquire the inner resource, outer kept held.
-
-    Runs as the chain entry's dispatch at ``outer-grant + outer_time``.
-    The entry is re-armed for the inner leg: granted immediately when
-    the inner resource is free, else parked on its FIFO queue (the
-    outer stays busy throughout -- a CPU waiting synchronously on the
-    GEM server, in the paper's terms).
+    The sole dispatch of a compound entry, and also how the constructor
+    starts leg 0.  The ended leg's unit is released -- except the first
+    leg of a nested chain, whose unit stays held under the rest.  A
+    resource leg is then granted immediately when free (arming the
+    leg-end timer in this same step) or parked on the resource's FIFO
+    queue, where the grant in :meth:`Resource.release` arms the timer
+    and records the unit in ``holding``; a ``None`` resource is a pure
+    delay.  Past the last leg the kept outer unit is released and the
+    ``done`` event's callbacks run inline, so releases run innermost
+    first and no separate completion event is ever scheduled.  A
+    cancelled access cleared ``data``, making the fire a no-op.
     """
     state = entry.data
     if state is None:
         return
-    entry.callbacks = [_chain_stage3]
-    inner = state.inner
-    duration = state.inner_time
-    sim = inner.sim
-    if inner._busy < inner.capacity and not inner._queue:
-        now = sim.now
-        _uncontended_grant(inner, now)
-        state.stage = _CHAIN_INNER_HELD
-        sim._seq += 1
-        if duration:
-            heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
+    holding = state.holding
+    if holding is not None:
+        state.holding = None
+        if state.nested and state.outer is None:
+            state.outer = holding
         else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
-    else:
-        state.stage = _CHAIN_INNER_QUEUED
-        _enqueue_entry(inner, entry, duration)
-
-
-def _chain_stage3(entry: Event) -> None:
-    """Inner hold elapsed: release both resources, complete the chain.
-
-    Releases run innermost-first, exactly where the nested ``finally:
-    release()`` blocks of the event-per-step formulation ran; the
-    completion event's callbacks are then dispatched in place (the old
-    final timeout resumed its waiter within the same dispatch, too),
-    so the chain never schedules a separate completion event.
-    """
-    state = entry.data
-    if state is None:
+            holding.release()
+    legs = state.legs
+    index = state.index
+    if index == len(legs):
+        entry.data = None
+        outer = state.outer
+        if outer is not None:
+            outer.release()
+        done = state.done
+        # Break the done <-> state cycle: the collector is suspended
+        # during runs, so cyclic garbage would pile up.
+        done.data = None
+        callbacks = done.callbacks
+        done.callbacks = None
+        if callbacks:
+            for callback in callbacks:
+                callback(done)
         return
-    entry.data = None
-    state.stage = _CHAIN_DONE
-    state.inner.release()
-    state.outer.release()
-    done = state.done
-    # Break the done <-> state cycle (as hold_seq does): the collector
-    # is suspended during runs, so cyclic garbage would pile up.
-    done.data = None
-    callbacks = done.callbacks
-    done.callbacks = None
-    if callbacks:
-        for callback in callbacks:
-            callback(done)
+    state.index = index + 1
+    # Re-arm: the run loop consumed the callbacks list when the entry
+    # fired, so every leg installs a fresh dispatch.
+    entry.callbacks = [_advance]
+    resource, duration, stream = legs[index]
+    if stream is not None:
+        # Lazy service-time draw, at the instant the leg starts -- the
+        # interleaving of draws on a shared stream is preserved.
+        duration = stream.exponential(duration)
+    sim = entry.sim
+    now = sim.now
+    if resource is not None:
+        busy = resource._busy
+        if busy >= resource.capacity or resource._queue:
+            # Contended: park the entry on the FIFO wait queue with its
+            # duration, as Resource.hold does; the grant in release()
+            # arms the leg-end timer.
+            entry._scheduled = False
+            entry.duration = duration
+            queue = resource._queue
+            queue.append((entry, now))
+            stat = resource.queue_stat
+            stat._area += stat._value * (now - stat._last_time)
+            stat._last_time = now
+            depth = len(queue)
+            stat._value = depth
+            if depth > stat.max:
+                stat.max = depth
+            return
+        # Inlined uncontended grant: the float operations of the
+        # request() fast path (busy_stat update, deferred zero-wait
+        # record, service count).
+        resource._busy = busy = busy + 1
+        stat = resource.busy_stat
+        stat._area += stat._value * (now - stat._last_time)
+        stat._last_time = now
+        stat._value = busy
+        if busy > stat.max:
+            stat.max = busy
+        tally = resource.wait_time
+        tally.count += 1
+        tally._zeros += 1
+        if tally._samples is not None:
+            tally._samples.append(0.0)
+        resource.services += 1
+        state.holding = resource
+    entry._scheduled = True
+    sim._seq += 1
+    if duration:
+        heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
+    else:
+        sim._ready.append((now, NORMAL, sim._seq, entry))
+
+
+def _compound(
+    sim: Simulator,
+    legs: Tuple[Tuple[Optional[Resource], float, Any], ...],
+    nested: bool,
+) -> Event:
+    """Build the completion event and the one re-armed leg entry, and
+    start leg 0."""
+    done = _Callback.__new__(_Callback)
+    done.sim = sim
+    done.callbacks = []
+    done._value = None
+    done._ok = True
+    done._scheduled = True
+    entry = _Callback.__new__(_Callback)
+    entry.sim = sim
+    entry._value = None
+    entry._ok = True
+    entry._scheduled = False
+    state = _Compound()
+    state.legs = legs
+    state.index = 0
+    state.holding = None
+    state.nested = nested
+    state.outer = None
+    state.done = done
+    state.entry = entry
+    entry.data = state
+    done.data = state
+    _advance(entry)
+    return done
+
+
+def hold_seq(
+    sim: Simulator, legs: Tuple[Tuple[Optional[Resource], float, Any], ...]
+) -> Event:
+    """Sequential compound access: hold each leg in turn, one resume.
+
+    Each leg is ``(resource, time, stream)``: the resource is acquired
+    (FIFO alongside plain requests), held and released before the next
+    leg starts; a ``None`` resource is a plain delay.  With a ``None``
+    stream the leg lasts exactly ``time``; otherwise the duration is
+    drawn as ``stream.exponential(time)`` when the leg *starts*, so the
+    interleaving of draws on a shared stream is unchanged.
+
+    This is the disk I/O shape -- CPU setup slice, controller service,
+    bus transfer, disk service.  The whole access is driven by ONE
+    re-armed scheduled entry; the caller suspends exactly once, on the
+    returned completion event, instead of once per leg.  Queueing,
+    grant statistics, RNG draws and release instants are identical to
+    one :meth:`Resource.hold` (or ``sim.timeout`` for a ``None`` leg)
+    per leg, under the same-timestamp contract of ``docs/MODEL.md``: a
+    grant and the start of its hold are one dispatch step.  A
+    ``request`` / ``yield`` / ``timeout`` / ``release`` step per leg is
+    *not* equivalent on timestamp ties -- it spends an extra same-time
+    step per grant, so its leg timers lose ties they win here.
+
+    The caller *must* guard the ``yield`` with :func:`compound_cancel`
+    so an interrupt at any stage returns whatever is held or queued::
+
+        done = hold_seq(sim, ((cpu, setup, None), (ctrl, t1, s), (None, xfer, None)))
+        try:
+            yield done
+        except BaseException:
+            compound_cancel(done)
+            raise
+    """
+    for _resource, duration, stream in legs:
+        if stream is None and duration < 0:
+            raise SimulationError(f"negative leg duration: {duration!r}")
+    return _compound(sim, legs, False)
 
 
 def held_chain(
@@ -558,240 +592,36 @@ def held_chain(
     (``inner``) is acquired, held for ``inner_time`` and released,
     after which the CPU is released too.  Queuing at either resource is
     FIFO alongside plain requests, and the outer stays busy while the
-    chain waits for the inner, exactly as the request/timeout/release
-    formulation behaved.
+    chain waits for the inner.
 
-    The whole chain is driven by ONE re-armed scheduled entry walking
-    grant -> outer elapsed -> inner grant -> inner elapsed through
-    dispatch callbacks; the caller's process suspends exactly once, on
-    the returned completion event, instead of once per leg.  The caller
-    *must* guard the ``yield`` with :func:`held_chain_cancel` so an
-    interrupt at any stage returns whatever is held or queued::
+    A two-leg :func:`hold_seq` whose first unit stays held until the
+    chain completes: one re-armed entry, one resume of the caller, and
+    the same cancel.  The caller *must* guard the ``yield`` with
+    :func:`compound_cancel`::
 
         done = held_chain(cpu, server, setup_time, access_time)
         try:
             yield done
         except BaseException:
-            held_chain_cancel(done)
+            compound_cancel(done)
             raise
     """
     if outer_time < 0 or inner_time < 0:
         raise SimulationError(
             f"negative chain duration: {outer_time!r}, {inner_time!r}"
         )
-    sim = outer.sim
-    done = _Callback.__new__(_Callback)
-    done.sim = sim
-    done.callbacks = []
-    done._value = None
-    done._ok = True
-    done._scheduled = True
-    entry = _Callback.__new__(_Callback)
-    entry.sim = sim
-    entry.callbacks = [_chain_stage2]
-    entry._value = None
-    entry._ok = True
-    state = _ChainState()
-    state.outer = outer
-    state.inner = inner
-    state.inner_time = inner_time
-    state.done = done
-    state.entry = entry
-    entry.data = state
-    done.data = state
-    if outer._busy < outer.capacity and not outer._queue:
-        now = sim.now
-        _uncontended_grant(outer, now)
-        state.stage = _CHAIN_OUTER_HELD
-        entry._scheduled = True
-        sim._seq += 1
-        if outer_time:
-            heappush(sim._heap, (now + outer_time, NORMAL, sim._seq, entry))
-        else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
-    else:
-        state.stage = _CHAIN_OUTER_QUEUED
-        _enqueue_entry(outer, entry, outer_time)
-    return done
+    return _compound(
+        outer.sim, ((outer, outer_time, None), (inner, inner_time, None)), True
+    )
 
 
-def held_chain_cancel(done: Event) -> None:
-    """Tear down an in-flight :func:`held_chain` at any stage.
+def compound_cancel(done: Event) -> None:
+    """Tear down an in-flight :func:`hold_seq` / :func:`held_chain`.
 
-    Returns whatever the chain currently holds and withdraws whatever
-    it queues, mirroring what the nested cancel/``finally`` blocks of
-    the event-per-step formulation did at the same instant.  Idempotent
-    and a no-op on a completed chain.
-    """
-    state = done.data
-    if state is None:
-        return
-    done.data = None
-    stage = state.stage
-    entry = state.entry
-    entry.data = None
-    if stage == _CHAIN_OUTER_QUEUED:
-        _unqueue_entry(state.outer, entry)
-    elif stage == _CHAIN_OUTER_HELD:
-        state.outer.release()
-    elif stage == _CHAIN_INNER_QUEUED:
-        _unqueue_entry(state.inner, entry)
-        state.outer.release()
-    elif stage == _CHAIN_INNER_HELD:
-        state.inner.release()
-        state.outer.release()
-
-
-# -- sequential compound accesses -----------------------------------------
-
-
-class _SeqState:
-    """Progress record of one :func:`hold_seq` sequential access."""
-
-    __slots__ = ("legs", "index", "holding", "done", "entry")
-
-    legs: Tuple[Tuple[Optional[Resource], float, Any], ...]
-    index: int
-    holding: Optional[Resource]
-    done: _Callback
-    entry: _Callback
-
-
-def _seq_advance(entry: Event) -> None:
-    """A leg's timer fired: release its resource, start the next leg.
-
-    Installed as the (sole) dispatch callback of the chain entry; a
-    cancelled chain cleared ``data``, making the fire a no-op.
-    """
-    state = entry.data
-    if state is None:
-        return
-    holding = state.holding
-    if holding is not None:
-        state.holding = None
-        holding.release()
-    _seq_start(state, entry)
-
-
-def _seq_start(state: _SeqState, entry: _Callback) -> None:
-    """Start leg ``state.index`` (or complete the chain past the end).
-
-    A resource leg is granted immediately when free (arming the
-    leg-end timer) or parked on the resource's FIFO queue -- the grant
-    in :meth:`Resource.release` then arms the timer and records the
-    grant in ``state.holding``.  A ``None`` resource is a pure delay.
-    On completion the ``done`` event's callbacks run inline, exactly
-    where the last leg's release of the step-per-leg formulation
-    resumed its waiter.
-    """
-    legs = state.legs
-    index = state.index
-    if index == len(legs):
-        entry.data = None
-        done = state.done
-        done.data = None
-        callbacks = done.callbacks
-        done.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(done)
-        return
-    state.index = index + 1
-    # Re-arm: the run loop consumed the callbacks list when the entry
-    # fired, so every leg installs a fresh dispatch.
-    entry.callbacks = [_seq_advance]
-    resource, duration, stream = legs[index]
-    if stream is not None:
-        # Lazy service-time draw, at the instant the event-per-step
-        # formulation called ``acquire(stream.exponential(t))`` -- the
-        # interleaving of draws on a shared stream is preserved.
-        duration = stream.exponential(duration)
-    if resource is None:
-        sim = entry.sim
-        now = sim.now
-        entry._scheduled = True
-        sim._seq += 1
-        if duration:
-            heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
-        else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
-    elif resource._busy < resource.capacity and not resource._queue:
-        sim = resource.sim
-        now = sim.now
-        _uncontended_grant(resource, now)
-        state.holding = resource
-        entry._scheduled = True
-        sim._seq += 1
-        if duration:
-            heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
-        else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
-    else:
-        _enqueue_entry(resource, entry, duration)
-
-
-def hold_seq(
-    sim: Simulator, legs: Tuple[Tuple[Optional[Resource], float, Any], ...]
-) -> Event:
-    """Sequential compound access: hold each leg in turn, one resume.
-
-    Each leg is ``(resource, time, stream)``: the resource is acquired
-    (FIFO alongside plain requests), held and released before the next
-    leg starts; a ``None`` resource is a plain delay.  With a ``None``
-    stream the leg lasts exactly ``time``; otherwise the duration is
-    drawn as ``stream.exponential(time)`` when the leg *starts* -- the
-    same instant the event-per-step formulation sampled it -- so the
-    interleaving of draws on a shared stream is unchanged.
-
-    This is the disk I/O shape -- CPU setup slice, controller service,
-    bus transfer, disk service -- where the event-per-step formulation
-    suspends the caller once per leg.  The whole chain is driven by ONE
-    re-armed scheduled entry; the caller suspends exactly once, on the
-    returned completion event.  Queueing, grant statistics, RNG draws
-    and release instants are identical to the step-per-leg formulation.
-
-    The caller *must* guard the ``yield`` with :func:`hold_seq_cancel`
-    so an interrupt at any stage returns whatever is held or queued::
-
-        done = hold_seq(sim, ((cpu, setup, None), (ctrl, t1, s), (None, xfer, None)))
-        try:
-            yield done
-        except BaseException:
-            hold_seq_cancel(done)
-            raise
-    """
-    for _resource, duration, stream in legs:
-        if stream is None and duration < 0:
-            raise SimulationError(f"negative leg duration: {duration!r}")
-    done = _Callback.__new__(_Callback)
-    done.sim = sim
-    done.callbacks = []
-    done._value = None
-    done._ok = True
-    done._scheduled = True
-    entry = _Callback.__new__(_Callback)
-    entry.sim = sim
-    entry.callbacks = [_seq_advance]
-    entry._value = None
-    entry._ok = True
-    entry._scheduled = False
-    state = _SeqState()
-    state.legs = legs
-    state.index = 0
-    state.holding = None
-    state.done = done
-    state.entry = entry
-    entry.data = state
-    done.data = state
-    _seq_start(state, entry)
-    return done
-
-
-def hold_seq_cancel(done: Event) -> None:
-    """Tear down an in-flight :func:`hold_seq` at any stage.
-
-    Releases a held leg, withdraws a queued one, disarms a pure-delay
-    leg in place.  Idempotent and a no-op on a completed chain.
+    Releases the current leg's unit or withdraws its queued entry (a
+    pure-delay leg's disarmed entry fires as a no-op), then releases a
+    nested chain's kept outer unit -- innermost first, as at completion.
+    Idempotent and a no-op on a completed access.
     """
     state = done.data
     if state is None:
@@ -805,12 +635,12 @@ def hold_seq_cancel(done: Event) -> None:
         holding.release()
     elif not entry._scheduled:
         # Queued at the current leg's resource (only resource legs
-        # enqueue, so the leg cannot be a pure delay).
-        resource = state.legs[state.index - 1][0]
-        assert resource is not None
-        _unqueue_entry(resource, entry)
-    # else: a pure-delay leg is in flight; the disarmed entry fires as
-    # a no-op.
+        # enqueue, so the leg cannot be a pure delay): withdraw it the
+        # way a queued slice is withdrawn.
+        state.legs[state.index - 1][0].hold_cancel(entry)
+    outer = state.outer
+    if outer is not None:
+        outer.release()
 
 
 class Store:

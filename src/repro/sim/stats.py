@@ -18,12 +18,7 @@ steady-state simulation.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
-
-try:  # Optional vectorized path for bulk consumers (see update_many).
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional extra
-    _np = None  # type: ignore[assignment]
+from typing import Dict, List, Optional
 
 __all__ = ["Counter", "Tally", "TimeWeighted", "StatsRegistry"]
 
@@ -115,38 +110,6 @@ class Tally:
             self._max = value
         if self._samples is not None:
             self._samples.append(value)
-
-    def record_many(self, values: Sequence[float]) -> None:
-        """Record a batch of observations in one call.
-
-        Bit-identical to calling :meth:`record` per value (Welford's
-        update is order-dependent, so there is no vectorized shortcut
-        that preserves exactness); the win is one call and locals-bound
-        accumulation instead of attribute traffic per observation.
-        """
-        if self._zeros:
-            self._fold()
-        count = self.count
-        mean = self._mean
-        m2 = self._m2
-        lo = self._min
-        hi = self._max
-        for value in values:
-            count += 1
-            delta = value - mean
-            mean += delta / count
-            m2 += delta * (value - mean)
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-        self.count = count
-        self._mean = mean
-        self._m2 = m2
-        self._min = lo
-        self._max = hi
-        if self._samples is not None:
-            self._samples.extend(values)
 
     @property
     def mean(self) -> float:
@@ -259,64 +222,6 @@ class TimeWeighted:
 
     def add(self, delta: float, now: float) -> None:
         self.update(self._value + delta, now)
-
-    def update_many(
-        self,
-        values: Sequence[float],
-        times: Sequence[float],
-        exact: bool = True,
-    ) -> None:
-        """Apply a batch of ``(value, time)`` updates in one call.
-
-        With ``exact=True`` (the default) the result is bit-identical
-        to calling :meth:`update` pairwise; the accumulation just runs
-        on locals.  With ``exact=False`` and numpy available, the area
-        integral is computed as a vectorized dot product -- the value
-        can differ from the sequential loop by floating-point summation
-        order, so simulation code must never pass ``exact=False``; the
-        relaxation exists for offline trace ingestion and the perf
-        harness, where throughput matters and bit-replay does not.
-        """
-        if len(values) != len(times):
-            raise ValueError("values and times must have equal length")
-        if not len(values):
-            return
-        if exact or _np is None:
-            value = self._value
-            last = self._last_time
-            area = self._area
-            peak = self.max
-            for new_value, now in zip(values, times):
-                if now < last:
-                    raise ValueError("time moved backwards")
-                area += value * (now - last)
-                last = now
-                value = new_value
-                if new_value > peak:
-                    peak = new_value
-            self._area = area
-            self._last_time = last
-            self._value = value
-            self.max = peak
-            return
-        t = _np.asarray(times, dtype=float)
-        v = _np.asarray(values, dtype=float)
-        if t[0] < self._last_time or bool((_np.diff(t) < 0.0).any()):
-            raise ValueError("time moved backwards")
-        # The piecewise-constant value *before* times[i] applies over
-        # the interval (times[i-1], times[i]).
-        prev = _np.empty_like(v)
-        prev[0] = self._value
-        prev[1:] = v[:-1]
-        starts = _np.empty_like(t)
-        starts[0] = self._last_time
-        starts[1:] = t[:-1]
-        self._area += float(_np.dot(prev, t - starts))
-        self._last_time = float(t[-1])
-        self._value = float(v[-1])
-        peak_batch = float(v.max())
-        if peak_batch > self.max:
-            self.max = peak_batch
 
     def time_average(self, now: float) -> float:
         elapsed = now - self._start_time

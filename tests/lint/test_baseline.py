@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, lint_sources
+from repro.lint import Baseline, lint_paths, lint_sources
 from repro.lint.baseline import BASELINE_SCHEMA_VERSION
 from repro.lint.findings import Finding
 
@@ -99,6 +99,23 @@ class TestRoundTrip:
         )
         with pytest.raises(ValueError, match="non-positive"):
             Baseline.load(bad)
+
+
+class TestCommittedBaseline:
+    def test_committed_baseline_equals_a_fresh_regeneration(
+        self, tmp_path, monkeypatch
+    ):
+        """The committed ``tests/`` baseline holds exactly what simlint
+        finds today: a finding that stops firing must leave the file
+        (``--baseline-update``) rather than linger as unused credit."""
+        monkeypatch.chdir(REPO_ROOT)
+        findings, _files = lint_paths(["tests"])
+        fresh = tmp_path / "baseline.json"
+        Baseline.from_findings(findings).save(fresh)
+        committed = REPO_ROOT / ".simlint-baseline.json"
+        assert fresh.read_text(encoding="utf-8") == committed.read_text(
+            encoding="utf-8"
+        )
 
 
 def run_simlint(args, cwd):

@@ -3,8 +3,8 @@
 Each bad fixture must fire the expected rule at the expected line and
 column; each good fixture is the same hazard written the canonical way
 and must stay clean.  The fixtures mirror the patterns in
-``repro.sim.resources``: request/cancel/release, hold/hold_cancel and
-``grab()``.
+``repro.sim.resources``: request/cancel/release (the MPL-slot shape),
+hold/hold_cancel and the compound accesses with ``compound_cancel``.
 """
 
 import textwrap
@@ -79,19 +79,29 @@ class TestRES002HeldLeak:
         findings = lint_src(
             """\
             def use(resource, duration):
-                yield from resource.grab()
+                request = resource.request()
+                try:
+                    yield request
+                except BaseException:
+                    resource.cancel(request)
+                    raise
                 yield resource.hold(duration)
                 resource.release()
             """
         )
-        # The grabbed unit leaks if the hold wait is interrupted.
-        assert (2, 15) in at(findings, "RES002")
+        # The granted unit leaks if the hold wait is interrupted.
+        assert (2, 14) in at(findings, "RES002")
 
     def test_grab_with_try_finally_release_is_clean(self):
         findings = lint_src(
             """\
             def use(resource):
-                yield from resource.grab()
+                request = resource.request()
+                try:
+                    yield request
+                except BaseException:
+                    resource.cancel(request)
+                    raise
                 try:
                     work()
                 finally:
@@ -157,7 +167,12 @@ class TestRES003DoubleCancel:
         findings = lint_src(
             """\
             def use(resource):
-                yield from resource.grab()
+                request = resource.request()
+                try:
+                    yield request
+                except BaseException:
+                    resource.cancel(request)
+                    raise
                 try:
                     work()
                 finally:
@@ -165,14 +180,14 @@ class TestRES003DoubleCancel:
                 resource.release()
             """
         )
-        assert (7, 4) in at(findings, "RES003")
+        assert (12, 4) in at(findings, "RES003")
 
 
 class TestHeldChainHelpers:
     def test_held_chain_without_cancel_guard_fires(self):
         findings = lint_src(
             """\
-            from repro.sim.resources import held_chain, held_chain_cancel
+            from repro.sim.resources import held_chain, compound_cancel
 
 
             def pipeline(resources, duration):
@@ -185,7 +200,7 @@ class TestHeldChainHelpers:
     def test_held_chain_with_cancel_guard_is_clean(self):
         findings = lint_src(
             """\
-            from repro.sim.resources import held_chain, held_chain_cancel
+            from repro.sim.resources import held_chain, compound_cancel
 
 
             def pipeline(resources, duration):
@@ -193,7 +208,7 @@ class TestHeldChainHelpers:
                 try:
                     yield chain
                 except BaseException:
-                    held_chain_cancel(chain)
+                    compound_cancel(chain)
                     raise
             """
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.node.cpu import CpuPool
 from repro.sim import Simulator, StreamRegistry
-from repro.sim.resources import Resource, held_chain, held_chain_cancel
+from repro.sim.resources import Resource, compound_cancel, held_chain
 
 
 @pytest.fixture
@@ -102,7 +102,7 @@ class TestCompoundHold:
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                compound_cancel(done)
                 raise
             log.append(("holder", sim.now))
 

@@ -1,19 +1,28 @@
 """The coalesced scheduler must be observably event-per-step equivalent.
 
 ``Resource.hold``, :func:`~repro.sim.resources.hold_seq` and
-:func:`~repro.sim.resources.held_chain` replace the old
-request/timeout/release generators with ONE re-armed scheduled entry
-per compound operation -- that is where the event-count reduction comes
-from.  The contract is that this is purely mechanical: every process
-must observe the same grant order, the same completion instants and the
-same resource statistics as the event-per-step formulation it replaced.
-These properties drive both formulations over the same randomized
-workloads on twin simulators and require exact agreement.
+:func:`~repro.sim.resources.held_chain` replace request/timeout/release
+generators with ONE re-armed scheduled entry per compound operation --
+that is where the event-count reduction comes from.  The contract is
+that this is purely mechanical: every process must observe the same
+grant order, the same completion instants and the same resource
+statistics as the formulation it replaced.  These properties drive both
+formulations over the same workloads on twin simulators and require
+exact agreement -- over randomized workloads, and over every small case
+(:class:`TestExhaustiveSmallCases`).
+
+``hold_seq`` is checked against one :meth:`Resource.hold` per leg, not
+against ``request`` / ``yield`` / ``timeout`` / ``release``: under the
+same-timestamp contract (docs/MODEL.md) a grant and the start of its
+hold are one dispatch step, while the request form spends an extra
+same-time step per grant, so its leg timers lose ties at ``t + d``.
 """
 
+import itertools
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
@@ -127,46 +136,130 @@ leg_lists = st.lists(
     max_size=5,
 )
 
+#: The pair that exposed the tie difference (every leg but one is 0).
+ZERO_LEG_PAIR = [
+    (0.0, [(None, 0.0), (None, 0.0), (0, 0.0), (0, 1.0)]),
+    (0.0, [(None, 0.0), (None, 0.0), (None, 0.0), (0, 0.0)]),
+]
+#: The smallest pair on which the request form differs with every
+#: duration nonzero.
+NONZERO_PAIR = [
+    (0.0, [(0, 1.0), (0, 1.0)]),
+    (0.0, [(None, 1.0), (0, 1.0)]),
+]
+
+
+def run_leg_chains(chains, compound):
+    """Run ``(start, legs)`` chains on two unit-capacity resources.
+
+    Each leg is ``(index, duration)``: resource 0 or 1, or ``None`` for
+    a pure delay.  ``compound`` runs every chain as one
+    :func:`hold_seq`; otherwise each leg is one :meth:`Resource.hold`
+    (``sim.timeout`` for a delay), a path that shares no code with the
+    compound machine.  Returns the completion log in completion order,
+    the service counts and the final clock.
+    """
+    sim = Simulator()
+    resources = (Resource(sim, capacity=1), Resource(sim, capacity=1))
+    log = []
+
+    def worker(tag, start, legs):
+        yield sim.timeout(start)
+        if compound:
+            yield hold_seq(
+                sim,
+                tuple(
+                    (None if index is None else resources[index], duration, None)
+                    for index, duration in legs
+                ),
+            )
+        else:
+            for index, duration in legs:
+                if index is None:
+                    yield sim.timeout(duration)
+                else:
+                    yield resources[index].hold(duration)
+        log.append((tag, sim.now))
+
+    for tag, (start, legs) in enumerate(chains):
+        sim.process(worker(tag, start, legs))
+    sim.run()
+    return log, [r.services for r in resources], sim.now
+
+
+def run_held_chains(chains, outer_capacity, inner_capacity, coalesced):
+    """Run ``(start, outer_time, inner_time, plain)`` workers.
+
+    A chain worker holds the outer resource, then the inner on top of
+    it: as one :func:`held_chain` when ``coalesced``, else as the nested
+    request/timeout/release reference.  A ``plain`` worker is an
+    ordinary hold of the outer resource competing with the chains (CPU
+    work next to store accesses).  Returns the exact observables and
+    the two busy-time integrals.
+    """
+    sim = Simulator()
+    outer = Resource(sim, capacity=outer_capacity)
+    inner = Resource(sim, capacity=inner_capacity)
+    completions = {}
+
+    def worker(tag, start, outer_time, inner_time, plain):
+        yield sim.timeout(start)
+        if plain:
+            yield from outer.acquire(outer_time)
+        elif coalesced:
+            yield held_chain(outer, inner, outer_time, inner_time)
+        else:
+            request = outer.request()
+            yield request
+            yield sim.timeout(outer_time)
+            inner_request = inner.request()
+            yield inner_request
+            yield sim.timeout(inner_time)
+            inner.release()
+            outer.release()
+        completions[tag] = sim.now
+
+    for tag, chain in enumerate(chains):
+        sim.process(worker(tag, *chain))
+    sim.run()
+    return (
+        completions,
+        outer.services,
+        inner.services,
+        sim.now,
+    ), (outer.busy_time(sim.now), inner.busy_time(sim.now))
+
+
+def assert_held_chains_agree(chains, outer_capacity, inner_capacity):
+    fast, fast_busy = run_held_chains(chains, outer_capacity, inner_capacity, True)
+    slow, slow_busy = run_held_chains(chains, outer_capacity, inner_capacity, False)
+    assert fast == slow, chains
+    for fast_time, slow_time in zip(fast_busy, slow_busy):
+        assert math.isclose(fast_time, slow_time, rel_tol=1e-9, abs_tol=1e-12)
+
 
 class TestHoldSeqEquivalence:
     @given(st.lists(st.tuples(short_floats, leg_lists), min_size=1, max_size=8))
+    @example(ZERO_LEG_PAIR)
+    @example(NONZERO_PAIR)
     @settings(max_examples=50, deadline=None)
     def test_hold_seq_matches_per_leg_formulation(self, chains):
-        def run(coalesced):
-            sim = Simulator()
-            resources = [Resource(sim, capacity=1) for _ in range(2)]
-            completions = {}
+        assert run_leg_chains(chains, compound=True) == run_leg_chains(
+            chains, compound=False
+        )
 
-            def worker(tag, start, legs):
-                yield sim.timeout(start)
-                if coalesced:
-                    yield hold_seq(
-                        sim,
-                        tuple(
-                            (
-                                None if index is None else resources[index],
-                                duration,
-                                None,
-                            )
-                            for index, duration in legs
-                        ),
-                    )
-                else:
-                    for index, duration in legs:
-                        if index is None:
-                            yield sim.timeout(duration)
-                        else:
-                            yield from reference_hold(
-                                sim, resources[index], duration
-                            )
-                completions[tag] = sim.now
-
-            for tag, (start, legs) in enumerate(chains):
-                sim.process(worker(tag, start, legs))
-            sim.run()
-            return completions, [r.services for r in resources], sim.now
-
-        assert run(coalesced=True) == run(coalesced=False)
+    def test_pinned_pairs_follow_the_same_timestamp_contract(self):
+        # Zero-leg pair: chain 0 reaches resource 0 first (its zero
+        # hold ends and its unit-length hold is granted in one step),
+        # so chain 1's zero hold queues behind it until t=1.
+        log, _services, _now = run_leg_chains(ZERO_LEG_PAIR, compound=True)
+        assert dict(log) == {0: 1.0, 1: 1.0}
+        # Nonzero pair: chain 0's first hold timer is sequenced at its
+        # grant, ahead of chain 1's delay timer, so at t=1 it fires
+        # first and chain 0's second hold is granted before chain 1
+        # asks for the resource.
+        log, _services, _now = run_leg_chains(NONZERO_PAIR, compound=True)
+        assert log == [(0, 2.0), (1, 3.0)]
 
 
 class TestHeldChainEquivalence:
@@ -185,46 +278,55 @@ class TestHeldChainEquivalence:
     def test_held_chain_matches_nested_formulation(
         self, chains, outer_capacity, inner_capacity
     ):
-        def run(coalesced):
-            sim = Simulator()
-            outer = Resource(sim, capacity=outer_capacity)
-            inner = Resource(sim, capacity=inner_capacity)
-            completions = {}
+        assert_held_chains_agree(chains, outer_capacity, inner_capacity)
 
-            def worker(tag, start, outer_time, inner_time, plain):
-                yield sim.timeout(start)
-                if plain:
-                    # A plain user of the outer resource competing with
-                    # the chains (CPU work next to store accesses).
-                    yield from outer.acquire(outer_time)
-                elif coalesced:
-                    yield held_chain(outer, inner, outer_time, inner_time)
-                else:
-                    request = outer.request()
-                    yield request
-                    yield sim.timeout(outer_time)
-                    inner_request = inner.request()
-                    yield inner_request
-                    yield sim.timeout(inner_time)
-                    inner.release()
-                    outer.release()
-                completions[tag] = sim.now
 
-            for tag, chain in enumerate(chains):
-                sim.process(worker(tag, *chain))
-            sim.run()
-            return (
-                completions,
-                outer.services,
-                inner.services,
-                sim.now,
-            ), (outer.busy_time(sim.now), inner.busy_time(sim.now))
+#: Every leg of the exhaustive check: resource {None, 0, 1} x duration {0, 1}.
+LEG_CHOICES = [(index, duration) for index in (None, 0, 1) for duration in (0.0, 1.0)]
 
-        fast, fast_busy = run(coalesced=True)
-        slow, slow_busy = run(coalesced=False)
-        assert fast == slow
-        for fast_time, slow_time in zip(fast_busy, slow_busy):
-            assert math.isclose(fast_time, slow_time, rel_tol=1e-9, abs_tol=1e-12)
+
+def leg_sequences(max_legs):
+    """Every leg sequence of length 1..``max_legs`` over LEG_CHOICES."""
+    for count in range(1, max_legs + 1):
+        yield from itertools.product(LEG_CHOICES, repeat=count)
+
+
+class TestExhaustiveSmallCases:
+    """Deterministic enumeration beside the randomized search.
+
+    Hypothesis rarely draws exact timestamp ties from float strategies;
+    integer durations make ties the common case, and enumerating every
+    small case leaves no tie ordering unchecked.
+    """
+
+    @pytest.mark.parametrize(
+        "workers, max_legs, cases", [(2, 3, 66_564), (3, 2, 74_088)]
+    )
+    def test_hold_seq_matches_per_leg_hold(self, workers, max_legs, cases):
+        sequences = list(leg_sequences(max_legs))
+        checked = 0
+        mismatches = []
+        for legs in itertools.product(sequences, repeat=workers):
+            chains = [(0.0, list(leg_list)) for leg_list in legs]
+            checked += 1
+            if run_leg_chains(chains, compound=True) != run_leg_chains(
+                chains, compound=False
+            ):
+                mismatches.append(chains)
+        assert checked == cases
+        assert not mismatches, (len(mismatches), mismatches[:3])
+
+    @pytest.mark.parametrize("outer_capacity", [1, 2])
+    @pytest.mark.parametrize("inner_capacity", [1, 2])
+    def test_held_chain_matches_nested_reference(
+        self, outer_capacity, inner_capacity
+    ):
+        # (start, outer time, inner time, plain hold competitor)
+        workers = list(
+            itertools.product((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (False, True))
+        )
+        for chains in itertools.product(workers, repeat=2):
+            assert_held_chains_agree(list(chains), outer_capacity, inner_capacity)
 
 
 class TestSameTimestampOrdering:

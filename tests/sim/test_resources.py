@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.errors import NodeCrashed
 from repro.sim import Resource, Simulator, Store
+from repro.sim.resources import compound_cancel, held_chain, hold_seq
 
 
 @pytest.fixture
@@ -385,7 +387,8 @@ class TestCancel:
 
 
 class TestGrab:
-    """Cancel-safe grant waits (``Resource.grab``).
+    """Cancel-safe grant waits: the MPL-slot shape, ``request`` then
+    ``try: yield ... except BaseException: cancel; raise``.
 
     Regression class for the unit-leak bug: a bare ``yield
     resource.request()`` interrupted while queued left the request in
@@ -398,9 +401,16 @@ class TestGrab:
         observed = []
 
         def proc():
-            yield from res.grab()
-            observed.append(res.busy)
-            res.release()
+            request = res.request()
+            try:
+                yield request
+            except BaseException:
+                res.cancel(request)
+                raise
+            try:
+                observed.append(res.busy)
+            finally:
+                res.release()
 
         sim.process(proc())
         sim.run()
@@ -417,7 +427,12 @@ class TestGrab:
 
         def waiter():
             try:
-                yield from res.grab()
+                request = res.request()
+                try:
+                    yield request
+                except BaseException:
+                    res.cancel(request)
+                    raise
             except NodeCrashed:
                 return  # torn down while still queued
             res.release()  # pragma: no cover - must not be granted
@@ -442,3 +457,73 @@ class TestGrab:
         sim.run()
         assert served == [pytest.approx(2.5)]
         assert res.busy == 0
+
+
+def crashable(sim, start_access):
+    """A process that runs one compound access, cancel-guarded, and
+    dies quietly when a crash interrupts it."""
+
+    def proc():
+        try:
+            done = start_access()
+            try:
+                yield done
+            except BaseException:
+                compound_cancel(done)
+                raise
+        except NodeCrashed:
+            return
+
+    return sim.process(proc())
+
+
+class TestCompoundCancel:
+    """An interrupt at any stage of a compound access returns what the
+    access holds and withdraws what it queues."""
+
+    @pytest.mark.parametrize(
+        "outer_blocked, inner_blocked, crash_at, busy_after",
+        [
+            (True, False, 1.0, (1, 0)),  # queued at the outer resource
+            (False, False, 0.5, (0, 0)),  # holding the outer
+            (False, True, 2.0, (0, 1)),  # holding the outer, queued at the inner
+            (False, False, 1.5, (0, 0)),  # holding both
+        ],
+    )
+    def test_held_chain_cancel_at_every_stage(
+        self, sim, outer_blocked, inner_blocked, crash_at, busy_after
+    ):
+        outer = Resource(sim, name="cpu")
+        inner = Resource(sim, name="gem")
+        for resource, blocked in ((outer, outer_blocked), (inner, inner_blocked)):
+            if blocked:
+                sim.process(resource.acquire(3.0))
+        victim = crashable(sim, lambda: held_chain(outer, inner, 1.0, 1.0))
+        sim.run(until=crash_at)
+        assert victim.interrupt(NodeCrashed(0))
+        sim.run(until=crash_at + 0.001)
+        # Only the blockers' units remain; nothing of the chain queues.
+        assert (outer.busy, inner.busy) == busy_after
+        assert outer.queue_length == inner.queue_length == 0
+        sim.run()
+        assert outer.busy == inner.busy == 0
+
+    def test_hold_seq_cancel_in_a_delay_leg_disarms_it(self, sim):
+        res = Resource(sim, name="disk")
+        victim = crashable(
+            sim, lambda: hold_seq(sim, ((None, 1.0, None), (res, 1.0, None)))
+        )
+        sim.run(until=0.5)
+        assert victim.interrupt(NodeCrashed(0))
+        sim.run()
+        # The delay's entry fires at t=1 as a no-op: no leg starts.
+        assert sim.now == pytest.approx(1.0)
+        assert res.services == 0 and res.busy == 0
+
+    def test_cancel_after_completion_is_a_no_op(self, sim):
+        res = Resource(sim)
+        done = hold_seq(sim, ((res, 1.0, None),))
+        sim.run()
+        compound_cancel(done)
+        compound_cancel(done)
+        assert res.busy == 0 and res.services == 1

@@ -188,75 +188,3 @@ class TestTimeWeightedIntegral:
         tw = TimeWeighted("busy", initial=1.0)
         tw.reset(5.0)
         assert tw.integral(7.0) == pytest.approx(2.0)
-
-
-class TestBatchHelpers:
-    def test_record_many_is_bit_identical_to_repeated_record(self):
-        values = [3.7, -1.2, 0.0, 9.4, 2.5, 2.5, 8.125, -0.001]
-        one = Tally("a", keep_samples=True)
-        for v in values:
-            one.record(v)
-        many = Tally("b", keep_samples=True)
-        many.record_many(values)
-        assert many.count == one.count
-        assert many.mean == one.mean          # exact, not approx
-        assert many.stdev == one.stdev
-        assert many.min == one.min and many.max == one.max
-        assert many.percentile(0.5) == one.percentile(0.5)
-
-    def test_record_many_empty_is_a_no_op(self):
-        t = Tally("a")
-        t.record_many([])
-        assert t.count == 0 and t.min is None
-
-    def test_record_many_appends_to_existing_samples(self):
-        t = Tally("a", keep_samples=True)
-        t.record(1.0)
-        t.record_many([2.0, 3.0])
-        assert t.count == 3
-        assert t.percentile(0.0) == 1.0 and t.percentile(1.0) == 3.0
-
-    def test_update_many_exact_is_bit_identical_to_repeated_update(self):
-        values = [1.0, 3.0, 0.0, 2.0, 2.0, 5.0]
-        times = [0.5, 1.25, 2.0, 2.0, 3.75, 4.5]
-        one = TimeWeighted("a")
-        for v, t in zip(values, times):
-            one.update(v, t)
-        many = TimeWeighted("b")
-        many.update_many(values, times)
-        assert many.integral(5.0) == one.integral(5.0)   # exact
-        assert many.time_average(5.0) == one.time_average(5.0)
-        assert many.max == one.max
-
-    def test_update_many_length_mismatch_rejected(self):
-        tw = TimeWeighted("a")
-        with pytest.raises(ValueError):
-            tw.update_many([1.0, 2.0], [0.5])
-
-    def test_update_many_empty_is_a_no_op(self):
-        tw = TimeWeighted("a", initial=2.0)
-        tw.update_many([], [])
-        assert tw.integral(3.0) == pytest.approx(6.0)
-
-    def test_update_many_backwards_time_rejected(self):
-        tw = TimeWeighted("a")
-        tw.update(1.0, 2.0)
-        with pytest.raises(ValueError):
-            tw.update_many([2.0], [1.0])
-
-    def test_update_many_numpy_path_matches_exact_path(self):
-        np = pytest.importorskip("numpy")
-        values = list(np.linspace(0.0, 7.0, 40))
-        times = list(np.cumsum(np.linspace(0.01, 0.2, 40)))
-        exact = TimeWeighted("a")
-        exact.update_many(values, times)
-        fast = TimeWeighted("b")
-        fast.update_many(values, times, exact=False)
-        assert fast.integral(10.0) == pytest.approx(exact.integral(10.0))
-        assert fast.max == pytest.approx(exact.max)
-
-    def test_update_many_numpy_backwards_time_rejected(self):
-        pytest.importorskip("numpy")
-        tw = TimeWeighted("a")
-        with pytest.raises(ValueError):
-            tw.update_many([1.0, 2.0], [3.0, 1.0], exact=False)
