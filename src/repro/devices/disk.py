@@ -180,9 +180,6 @@ class DiskArray:
     def max_disk_utilization(self) -> float:
         return max(disk.utilization() for disk in self.disks)
 
-    def mean_disk_utilization(self) -> float:
-        return sum(disk.utilization() for disk in self.disks) / len(self.disks)
-
     def busy_time(self, now=None) -> float:
         """Accumulated busy disk-seconds over the whole array."""
         return sum(disk.busy_time(now) for disk in self.disks)

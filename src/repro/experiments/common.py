@@ -8,13 +8,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.system.config import SystemConfig
 from repro.system.parallel import ReplicatedResult, SweepRunner
 from repro.system.results import RunResult
-from repro.system.runner import run_simulation
 
 __all__ = [
     "Scale",
     "Series",
     "ExperimentResult",
-    "sweep",
     "sweep_all",
     "format_table",
 ]
@@ -182,28 +180,6 @@ class ExperimentResult:
             total = sum(breakdown.values()) * 1e3
             lines.append(label.ljust(width) + cells + f"{total:>{phase_width}.2f}")
         return "\n".join(lines)
-
-
-def sweep(
-    base_config: SystemConfig,
-    node_counts: Sequence[int],
-    label: str,
-    runner: Union[SweepRunner, Callable[[SystemConfig], RunResult], None] = None,
-) -> Series:
-    """Run ``base_config`` for each node count.
-
-    ``runner`` may be a :class:`SweepRunner` (parallel, replicated,
-    cached execution) or any ``config -> RunResult`` callable (the
-    pre-parallel interface, kept for tests and ad-hoc drivers).
-    """
-    configs = [base_config.replace(num_nodes=n) for n in node_counts]
-    if runner is None:
-        runner = run_simulation
-    if isinstance(runner, SweepRunner):
-        results: Sequence[PointResult] = runner.run_many(configs, label=label)
-    else:
-        results = [runner(config) for config in configs]
-    return Series(label, list(zip(node_counts, results)))
 
 
 def sweep_all(

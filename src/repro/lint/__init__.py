@@ -15,7 +15,6 @@ Programmatic use::
 
 from repro.lint.analyzer import FileAnalyzer, Registry, analyze_source, build_registry
 from repro.lint.autofix import FIXABLE_RULES, fix_paths, fix_source
-from repro.lint.baseline import BASELINE_SCHEMA_VERSION, Baseline
 from repro.lint.cfg import CFG, CFGNode, build_cfg
 from repro.lint.dataflow import merge_states, run_dataflow
 from repro.lint.findings import JSON_SCHEMA_VERSION, Finding, render_json, render_text
@@ -26,8 +25,6 @@ from repro.lint.rules import RULES, Rule, is_known_rule
 from repro.lint.runner import collect_files, lint_paths, lint_sources
 
 __all__ = [
-    "BASELINE_SCHEMA_VERSION",
-    "Baseline",
     "CFG",
     "CFGNode",
     "FIXABLE_RULES",

@@ -637,110 +637,6 @@ class FileAnalyzer(ast.NodeVisitor):
             "object comparison",
         )
 
-    # -- SIM001: resource request leak analysis -------------------------
-
-    def _visit_function_def(self, node) -> None:
-        self._check_request_leaks(node)
-        self.generic_visit(node)
-
-    visit_FunctionDef = _visit_function_def
-    visit_AsyncFunctionDef = _visit_function_def
-
-    def _check_request_leaks(self, func) -> None:
-        """Flag ``yield <resource>.request()`` waits with no cancel path.
-
-        Only generator functions are analysed: a plain function that
-        returns the request event delegates responsibility to its
-        caller.  Nested function bodies are excluded (they are analysed
-        on their own).
-        """
-        own_nodes = self._function_nodes(func)
-        has_yield = any(
-            isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes
-        )
-        if not has_yield:
-            return
-        request_calls = [
-            n
-            for n in own_nodes
-            if isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "request"
-            and not n.args
-            and not n.keywords
-        ]
-        if not request_calls:
-            return
-        # Names bound to a request() result in this function.
-        request_names: Set[str] = set()
-        for n in own_nodes:
-            if isinstance(n, ast.Assign) and n.value in request_calls:
-                for target in n.targets:
-                    if isinstance(target, ast.Name):
-                        request_names.add(target.id)
-        for n in own_nodes:
-            if not isinstance(n, ast.Yield) or n.value is None:
-                continue
-            value = n.value
-            is_request_wait = value in request_calls or (
-                isinstance(value, ast.Name) and value.id in request_names
-            )
-            if is_request_wait and not self._wait_is_protected(n, func):
-                self._flag(
-                    n,
-                    "SIM001",
-                    "grant wait on request() has no cancel path: an "
-                    "interrupt here leaks the queued unit (use "
-                    "Resource.acquire(), or try/except BaseException: "
-                    "cancel)",
-                )
-
-    def _function_nodes(self, func) -> List[ast.AST]:
-        """All nodes of ``func`` excluding nested function bodies."""
-        nodes: List[ast.AST] = []
-        stack: List[ast.AST] = list(func.body)
-        while stack:
-            current = stack.pop()
-            nodes.append(current)
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.extend(ast.iter_child_nodes(current))
-        return nodes
-
-    def _wait_is_protected(self, yield_node: ast.AST, func) -> bool:
-        """Is the yield inside a try whose handlers/finally clean up?"""
-        current: Optional[ast.AST] = yield_node
-        while current is not None and current is not func:
-            parent = self._parent(current)
-            if isinstance(parent, ast.Try) and self._in_block(
-                parent.body, current
-            ):
-                if self._block_cleans_up(parent.finalbody):
-                    return True
-                for handler in parent.handlers:
-                    if self._block_cleans_up(handler.body):
-                        return True
-            current = parent
-        return False
-
-    @staticmethod
-    def _in_block(block: List[ast.stmt], node: ast.AST) -> bool:
-        return any(node is stmt for stmt in block)
-
-    @staticmethod
-    def _block_cleans_up(block: List[ast.stmt]) -> bool:
-        for stmt in block:
-            for sub in ast.walk(stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in {"cancel", "release"}
-                ):
-                    return True
-        return False
-
 
 def analyze_source(
     path: str, source: str, registry: Optional[Registry] = None

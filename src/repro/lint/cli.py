@@ -6,13 +6,10 @@ Exit codes: 0 clean, 1 findings reported, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.autofix import fix_paths
-from repro.lint.baseline import Baseline
 from repro.lint.findings import render_json, render_text
 from repro.lint.rules import RULES, is_known_rule
 from repro.lint.runner import lint_paths
@@ -54,16 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="report only findings not recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--baseline-update",
-        action="store_true",
-        help="rewrite --baseline FILE from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--fix",
         action="store_true",
         help="apply mechanical autofixes (DET001, SUP001) in place, then lint",
@@ -89,8 +76,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule.id}  {rule.summary}")
             print(f"        {rule.rationale}")
         return 0
-    if args.baseline_update and not args.baseline:
-        parser.error("--baseline-update requires --baseline FILE")
     select = _split_rules(args.select, parser)
     ignore = _split_rules(args.ignore, parser)
     paths = args.paths or ["src/repro"]
@@ -107,23 +92,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (FileNotFoundError, OSError) as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if args.baseline_update:
-            Baseline.from_findings(findings).save(baseline_path)
-            print(
-                f"simlint: baseline {baseline_path} updated "
-                f"({len(findings)} finding(s))",
-                file=sys.stderr,
-            )
-            return 0
-        if baseline_path.exists():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                print(f"simlint: error: bad baseline: {exc}", file=sys.stderr)
-                return 2
-            findings = baseline.filter_new(findings)
     if args.json:
         print(render_json(findings, files_scanned))
     elif findings:

@@ -9,7 +9,11 @@ The simulator's resource layer hands out *obligations*:
   process off the wait.
 * ``req = res.request()`` is the same until the yield succeeds -- and
   *then* the unit is held and must be given back with
-  ``res.release()`` on **every** path out of the function.
+  ``res.release()`` on **every** path out of the function.  A request
+  yielded directly (``yield res.request()``) is never bound, so no
+  path can cancel it: it is always RES001 at the ``request()`` call,
+  whatever ``try`` surrounds it (a ``finally: release()`` there would
+  give back a unit the process was never granted).
 
 The analysis runs the dataflow framework over the function's CFG.
 Facts are ``(status, kind, receiver, line, col)`` tuples per tracked
@@ -160,6 +164,7 @@ class _FunctionAnalysis:
             self._transfer(node, in_states[node.node_id], collect=True)
         self._check_exit(in_states.get(cfg.exit.node_id), interrupted=False)
         self._check_exit(in_states.get(cfg.raise_exit.node_id), interrupted=True)
+        self._check_unbound_requests()
 
     # -- alias collection ----------------------------------------------
 
@@ -211,6 +216,23 @@ class _FunctionAnalysis:
                         f"{how}: every exit after the grant must call "
                         f"{receiver}.release() (use try/finally)",
                     )
+
+    def _check_unbound_requests(self) -> None:
+        for sub in _walk_roots([self.func]):
+            if not isinstance(sub, ast.Yield) or sub.value is None:
+                continue
+            acquired = self._acquisition_of(sub.value)
+            if acquired is None or acquired[0] != "request":
+                continue
+            self._flag(
+                sub.value.lineno,
+                sub.value.col_offset,
+                "RES001",
+                f"{acquired[1]}.request() is yielded without being bound, "
+                "so nothing can cancel it: an interrupt while it is queued "
+                "leaks the unit.  Bind it and guard the wait with "
+                "try/except BaseException: cancel; raise (or use acquire())",
+            )
 
     # -- the transfer function ------------------------------------------
 

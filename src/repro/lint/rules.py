@@ -9,8 +9,8 @@ Rule identifiers are grouped by family:
 * ``DET0xx`` -- nondeterminism hazards (ordering, wall clock, global
   randomness) that can break byte-identical reproduction across seeds,
   job counts and fresh interpreters.
-* ``SIM0xx`` -- simulation-protocol safety (resource leaks, span stack
-  corruption, heap tie-break hazards).
+* ``SIM0xx`` -- simulation-protocol safety (span stack corruption,
+  heap tie-break hazards).
 * ``RES0xx`` -- path-sensitive resource-obligation tracking over the
   control-flow graph (acquisitions whose release is not guaranteed on
   every path, including interrupt/exception edges; double release).
@@ -64,16 +64,6 @@ _RULE_LIST = [
         "unordered source) makes the total depend on iteration order.  "
         "Sort the iterable first, or use math.fsum for an exact, "
         "order-independent sum.",
-    ),
-    Rule(
-        "SIM001",
-        "Resource request without cancel/release on every exit path",
-        "A process torn off a pending Resource.request() (deadlock abort, "
-        "node crash) must cancel it; otherwise a later release grants the "
-        "unit to a dead event and it leaks forever.  Guard the grant wait "
-        "with try/except BaseException: cancel; raise (the MPL-slot "
-        "shape) and the hold with try/finally release, or use "
-        "Resource.acquire, which does both.",
     ),
     Rule(
         "SIM002",

@@ -59,9 +59,6 @@ class CommSubsystem:
         self.sent_short = 0
         self.sent_long = 0
 
-    def _overhead(self, long: bool) -> float:
-        return self.instr_long if long else self.instr_short
-
     def send(
         self,
         dst: int,

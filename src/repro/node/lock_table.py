@@ -67,9 +67,6 @@ class LockEntry:
         #: Nodes holding a read authorization (PCL read optimization).
         self.auth_nodes: Set[int] = set()
 
-    def is_idle(self) -> bool:
-        return not self.holders and not self.queue
-
 
 class LockTable:
     """Lock entries for a set of pages."""
@@ -251,13 +248,6 @@ class LockTable:
             page for page, entry in self._entries.items() if txn in entry.holders
         ]
 
-    def num_entries(self) -> int:
-        return len(self._entries)
-
     def num_blocked(self) -> int:
         """Number of transactions currently waiting in this table."""
         return len(self._blocked)
-
-    def max_queue_length(self) -> int:
-        """Longest current wait queue over all entries."""
-        return max((len(e.queue) for e in self._entries.values()), default=0)

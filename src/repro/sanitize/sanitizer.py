@@ -4,10 +4,10 @@ Five invariant families, mirroring the static RES/SIM rule catalog at
 runtime (the linter proves the *code shape* is safe; the sanitizer
 checks the *executed run* actually was):
 
-* **monotonic sim time** -- the clock never moves backwards between
-  processed events (:class:`SanitizedSimulator` runs the event loop
-  step-by-step instead of the inlined fast loop, checking after every
-  event).
+* **monotonic sim time** -- the clock never moves backwards
+  (:class:`SanitizedSimulator` runs the same fast event loop as a
+  plain run and checks every write to the clock, so a rewind is caught
+  when it happens, whether the loop or model code made it).
 * **balanced recorder spans** -- every span pushed on a transaction is
   popped in LIFO order before the transaction ends
   (:class:`SanitizedRecorder` shadows the span stack of whatever real
@@ -111,42 +111,42 @@ class SanitizerError(AssertionError):
 
 
 class SanitizedSimulator(Simulator):
-    """A :class:`Simulator` that checks the clock between events.
+    """A :class:`Simulator` whose clock is checked where it is written.
 
-    ``run`` processes events through :meth:`Simulator.step` one at a
-    time instead of the inlined fast loop.  The observable execution
-    order is identical -- ``step`` pops the same global minimum the
-    fast loop does -- so model results cannot differ; only wall-clock
-    cost does (measured in docs/LINTING.md).
+    It runs the one :meth:`Simulator.run` loop unchanged, so a
+    sanitized run executes the same code as the run it vouches for and
+    its results are bit-identical by construction.  ``now`` becomes a
+    property: a write below the current value -- by the run loop or by
+    model code in the middle of a callback -- is recorded as a
+    ``monotonic-time`` violation the moment it happens.  A plain
+    :class:`Simulator` keeps ``now`` as an attribute and pays nothing.
     """
 
     def __init__(self, report: SanitizerReport) -> None:
-        super().__init__()
         self.report = report
+        self._now = 0.0
+        super().__init__()
+
+    @property
+    def now(self) -> float:
+        return self._now
+
+    @now.setter
+    def now(self, value: float) -> None:
+        if value < self._now:
+            self.report.record(
+                "monotonic-time",
+                "simulator",
+                f"clock moved backwards: {self._now!r} -> {value!r}",
+            )
+        self._now = value
 
     def run(self, until: Optional[float] = None) -> None:
-        if until is not None and until < self.now:
-            # Match the base class misuse error exactly.
+        start = self.events_processed
+        try:
             super().run(until)
-            return
-        report = self.report
-        while True:
-            next_time = self.peek()
-            if next_time == float("inf"):
-                break
-            if until is not None and next_time > until:
-                break
-            before = self.now
-            self.step()
-            report.events_checked += 1
-            if self.now < before:
-                report.record(
-                    "monotonic-time",
-                    "simulator",
-                    f"clock moved backwards: {before!r} -> {self.now!r}",
-                )
-        if until is not None:
-            self.now = until
+        finally:
+            self.report.events_checked += self.events_processed - start
 
 
 class _ShadowSpan:

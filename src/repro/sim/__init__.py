@@ -22,7 +22,6 @@ discrete-event simulation core in the style familiar from SimPy:
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
     Interrupted,
     Process,
@@ -36,7 +35,6 @@ from repro.sim.stats import Counter, StatsRegistry, Tally, TimeWeighted
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Counter",
     "Event",
     "Interrupted",

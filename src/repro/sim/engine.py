@@ -8,9 +8,15 @@ deterministic for a given model and seed.
 
 The hot paths -- triggering an event, resuming a process, the run loop
 -- are deliberately flat: scheduling is inlined into
-:meth:`Event.succeed` and :class:`Timeout`, the generator ``send`` /
-``throw`` methods are bound once per process, and the run loop touches
-the heap through pre-bound module functions.
+:meth:`Event.succeed` and :meth:`Simulator.timeout`, the generator
+``send`` / ``throw`` methods are bound once per process, and the run
+loop touches the heap through pre-bound module functions.
+
+There is one event-loop body, in :meth:`Simulator.run`; bounded
+(``until=t``), unbounded (``until=None``, an infinite horizon) and
+sanitized runs all execute it.  :meth:`Simulator.step` processes a
+single event by the same rule and is the reference the property tests
+compare ``run`` against.
 
 Same-timestamp scheduling bypasses the heap entirely.  Every zero-delay
 schedule lands at the current clock value, so the engine keeps two FIFO
@@ -43,7 +49,6 @@ from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Interrupted",
     "Process",
@@ -171,24 +176,16 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically after a fixed delay."""
+    """An event that fires automatically after a fixed delay.
+
+    Built only by :meth:`Simulator.timeout`, which fills the slots
+    directly: timeouts are the most common event kind and an
+    ``__init__`` frame is pure overhead at this call frequency.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        self.sim = sim
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._scheduled = True
-        self.delay = delay
-        sim._seq += 1
-        if delay == 0.0:
-            sim._ready.append((sim.now, NORMAL, sim._seq, self))
-        else:
-            heappush(sim._heap, (sim.now + delay, NORMAL, sim._seq, self))
+    delay: float
 
 
 class _Callback(Event):
@@ -369,8 +366,12 @@ class Process(Event):
             callbacks.append(self._resume_cb)
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Triggers when *all* component events have been processed.
+
+    Succeeds with the list of component values; fails as soon as any
+    component fails.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -381,27 +382,11 @@ class _Condition(Event):
             if ev.sim is not sim:
                 raise SimulationError("condition spans multiple simulators")
         self._remaining = 0
-        self._arm()
-
-    def _arm(self) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when *all* component events have been processed.
-
-    Succeeds with the list of component values; fails as soon as any
-    component fails.
-    """
-
-    __slots__ = ()
-
-    def _arm(self) -> None:
-        pending = [ev for ev in self.events if not ev.processed]
         for ev in self.events:
             if ev.processed and not ev._ok:
                 self.fail(ev._value)
                 return
+        pending = [ev for ev in self.events if not ev.processed]
         self._remaining = len(pending)
         if not self._remaining:
             self.succeed([ev._value for ev in self.events])
@@ -418,38 +403,6 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([ev._value for ev in self.events])
-
-
-class AnyOf(_Condition):
-    """Triggers when the *first* component event is processed.
-
-    Succeeds with ``(index, value)`` of the first component; fails if
-    that component failed.
-    """
-
-    __slots__ = ()
-
-    def _arm(self) -> None:
-        for index, ev in enumerate(self.events):
-            if ev.processed:
-                if ev._ok:
-                    self.succeed((index, ev._value))
-                else:
-                    self.fail(ev._value)
-                return
-        for index, ev in enumerate(self.events):
-            ev.callbacks.append(self._make_callback(index))
-
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def on_child(event: Event) -> None:
-            if self.triggered:
-                return
-            if event._ok:
-                self.succeed((index, event._value))
-            else:
-                self.fail(event._value)
-
-        return on_child
 
 
 class Simulator:
@@ -480,9 +433,6 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` time units from now."""
-        # Manual construction (Timeout.__init__ inlined): timeouts are
-        # the most common event kind and the __init__ frame is pure
-        # overhead at this call frequency.
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         event = Timeout.__new__(Timeout)
@@ -506,9 +456,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling -----------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
@@ -524,35 +471,38 @@ class Simulator:
 
     # -- running --------------------------------------------------------
 
-    def _pop_next(self) -> Any:
-        """Pop the globally next ``(time, priority, seq, event)`` entry.
+    def step(self) -> None:
+        """Process exactly one event: the reference for :meth:`run`.
 
-        The lane heads and the heap top are all valid heap tuples; the
-        global minimum is the next event.  ``_urgent`` entries are at
+        The next event is the global minimum of the lane heads and the
+        heap top, all valid heap tuples.  ``_urgent`` entries are at
         the current time with priority :data:`URGENT`, so they can only
         lose to a heap entry by ``seq`` (a delayed URGENT schedule
         landing on this exact timestamp); ``_ready`` entries can only
         lose to heap URGENTs or an earlier-``seq`` NORMAL landing now.
-        Raises ``IndexError`` when no event is scheduled at all.
+        :meth:`run` inlines this body; the property tests compare the
+        two event by event.  Raises ``IndexError`` when no event is
+        scheduled at all.
         """
+        heap = self._heap
         urgent = self._urgent
-        if urgent:
-            heap = self._heap
-            if heap and heap[0] < urgent[0]:
-                return heappop(heap)
-            return urgent.popleft()
         ready = self._ready
-        if ready:
-            heap = self._heap
-            if heap and heap[0] < ready[0]:
-                return heappop(heap)
-            return ready.popleft()
-        return heappop(self._heap)
-
-    def step(self) -> None:
-        """Process a single event."""
-        _time, _prio, _seq, event = self._pop_next()
-        self.now = _time
+        if urgent:
+            entry = urgent[0]
+            if heap and heap[0] < entry:
+                entry = heappop(heap)
+            else:
+                urgent.popleft()
+        elif ready:
+            entry = ready[0]
+            if heap and heap[0] < entry:
+                entry = heappop(heap)
+            else:
+                ready.popleft()
+        else:
+            entry = heappop(heap)
+        time_, _prio, _seq, event = entry
+        self.now = time_
         callbacks = event.callbacks
         event.callbacks = None
         self.events_processed += 1
@@ -568,22 +518,26 @@ class Simulator:
             # Exceptions marking themselves ``unhandled_ok`` (a process
             # torn down by fault injection) are a clean termination.
             raise event._value
-        return
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event list is exhausted or ``until`` is reached.
 
-        When ``until`` is given the clock is advanced to exactly
-        ``until`` even if the last event fires earlier.
+        ``until=None`` is an infinite horizon: the loop ends only when
+        no event is left.  With a finite ``until`` every event at or
+        before it is processed and the clock is then advanced to
+        exactly ``until``, even if the last event fires earlier.
 
-        The loop body is :meth:`step` inlined, with the processed-event
+        There is one loop body, shared by bounded, unbounded and
+        sanitized runs (:class:`repro.sanitize.SanitizedSimulator`
+        checks the clock where it is written, not in a loop of its
+        own).  It is :meth:`step` inlined, with the processed-event
         counter kept in a local (flushed on every exit path).  The lane
         checks come first: while a same-timestamp cohort is draining,
         the next event is almost always a deque head, and the single
         tuple comparison against the heap top replaces a full heap
         sift.  The horizon check lives in the heap-only branch -- lane
         entries are always at the current clock value, which the loop
-        never advances past ``until``.
+        never advances past the horizon.
 
         The cyclic garbage collector is suspended for the duration of
         the loop (restored on every exit path): the event churn would
@@ -595,6 +549,7 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run into the past")
+        horizon = float("inf") if until is None else until
         gc_enabled = gc.isenabled()
         if gc_enabled:
             gc.disable()
@@ -603,71 +558,37 @@ class Simulator:
         ready = self._ready
         pop = heappop
         processed = self.events_processed
-        # Two copies of the loop so the horizon check costs nothing
-        # when no ``until`` is given (and no ``is not None`` test per
-        # event when it is).
         try:
-            if until is None:
-                while True:
-                    if urgent:
-                        entry = urgent[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            urgent.popleft()
-                    elif ready:
-                        entry = ready[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            ready.popleft()
-                    elif heap:
+            while True:
+                if urgent:
+                    entry = urgent[0]
+                    if heap and heap[0] < entry:
                         entry = pop(heap)
                     else:
-                        break
-                    time_, _prio, _seq, event = entry
-                    self.now = time_
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    processed += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not callbacks and not getattr(
-                        event._value, "unhandled_ok", False
-                    ):
-                        raise event._value
-            else:
-                while True:
-                    if urgent:
-                        entry = urgent[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            urgent.popleft()
-                    elif ready:
-                        entry = ready[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            ready.popleft()
-                    elif heap:
-                        if heap[0][0] > until:
-                            self.now = until
-                            return
+                        urgent.popleft()
+                elif ready:
+                    entry = ready[0]
+                    if heap and heap[0] < entry:
                         entry = pop(heap)
                     else:
+                        ready.popleft()
+                elif heap:
+                    if heap[0][0] > horizon:
                         break
-                    time_, _prio, _seq, event = entry
-                    self.now = time_
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    processed += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not callbacks and not getattr(
-                        event._value, "unhandled_ok", False
-                    ):
-                        raise event._value
+                    entry = pop(heap)
+                else:
+                    break
+                time_, _prio, _seq, event = entry
+                self.now = time_
+                callbacks = event.callbacks
+                event.callbacks = None
+                processed += 1
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not callbacks and not getattr(
+                    event._value, "unhandled_ok", False
+                ):
+                    raise event._value
         finally:
             self.events_processed = processed
             if gc_enabled:

@@ -55,7 +55,8 @@ class Cluster:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         #: The simsan runtime sanitizer, when enabled (observation-only;
-        #: see repro.sanitize).  None keeps the fast event loop.
+        #: see repro.sanitize).  Both kinds of simulator run the same
+        #: event loop; None keeps ``sim.now`` a plain attribute.
         self.sanitizer: Optional[SimSanitizer] = None
         if sanitize_enabled(config.sanitize):
             self.sanitizer = SimSanitizer()

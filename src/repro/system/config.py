@@ -307,8 +307,8 @@ class SystemConfig:
     #: Additionally retain every span for Chrome-trace export (implies
     #: breakdown collection; memory grows with run length).
     trace_spans: bool = False
-    #: Run under the simsan runtime sanitizer (repro.sanitize): the
-    #: event loop checks clock monotonicity per event, recorder spans
+    #: Run under the simsan runtime sanitizer (repro.sanitize): every
+    #: clock write is checked for monotonicity, recorder spans
     #: are balance-checked, and lock tables / resources / the RDMA pool
     #: are verified at the horizon.  Observation-only -- simulated
     #: results are bit-identical with it on -- but slower; also

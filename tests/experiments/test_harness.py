@@ -8,7 +8,7 @@ from repro.experiments.common import (
     Scale,
     Series,
     format_table,
-    sweep,
+    sweep_all,
 )
 from repro.system.config import SystemConfig
 from repro.system.results import RunResult
@@ -100,17 +100,26 @@ class TestSeriesAndResult:
         assert len(lines) == 6
 
 
+class FakeRunner:
+    """Stands in for a SweepRunner: one fake result per config, in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def run_many(self, configs, label=""):
+        self.calls.append((label, [config.num_nodes for config in configs]))
+        return [fake_result(config.num_nodes, 50.0) for config in configs]
+
+
 class TestSweep:
     def test_sweep_runs_each_node_count(self):
-        calls = []
-
-        def fake_runner(config):
-            calls.append(config.num_nodes)
-            return fake_result(config.num_nodes, 50.0)
-
-        series = sweep(SystemConfig(), [1, 3], "lbl", runner=fake_runner)
-        assert calls == [1, 3]
-        assert [n for n, _ in series.points] == [1, 3]
+        runner = FakeRunner()
+        specs = [("a", SystemConfig()), ("b", SystemConfig())]
+        series = sweep_all(specs, [1, 3], runner=runner, label="fig")
+        assert runner.calls == [("fig", [1, 3, 1, 3])]
+        assert [s.label for s in series] == ["a", "b"]
+        for one in series:
+            assert [n for n, _ in one.points] == [1, 3]
 
 
 class TestTable41:

@@ -256,6 +256,13 @@ class TestDET003FloatAccumulation:
 
 
 class TestSIM001UnprotectedGrantWait:
+    """The shapes the retired SIM001 rule flagged, now reported as RES001.
+
+    RES001 reports a bound request at the ``request()`` call when some
+    path leaves it pending, and an unbound ``yield recv.request()``
+    always: nothing can cancel an entry that was never named.
+    """
+
     def test_bare_request_yield_in_generator(self):
         findings = lint_src(
             """\
@@ -267,7 +274,21 @@ class TestSIM001UnprotectedGrantWait:
                     cpu.release()
             """
         )
-        assert ("SIM001", 2) in rules_at(findings)
+        assert rules_at(findings) == [("RES001", 2)]
+
+    def test_bound_request_yield_without_cancel(self):
+        findings = lint_src(
+            """\
+            def worker(cpu):
+                request = cpu.request()
+                yield request
+                try:
+                    yield cpu.busy_work(100)
+                finally:
+                    cpu.release()
+            """
+        )
+        assert ("RES001", 2) in rules_at(findings)
 
     def test_cancel_protected_wait_is_clean(self):
         findings = lint_src(
@@ -287,7 +308,9 @@ class TestSIM001UnprotectedGrantWait:
         )
         assert findings == []
 
-    def test_finally_release_protected_wait_is_clean(self):
+    def test_finally_release_around_unbound_request_is_res001(self):
+        # finally: release() is no protection: an interrupt while the
+        # request is queued would release a unit that was never granted.
         findings = lint_src(
             """\
             def worker(cpu):
@@ -298,7 +321,19 @@ class TestSIM001UnprotectedGrantWait:
                     cpu.release()
             """
         )
-        assert findings == []
+        assert rules_at(findings) == [("RES001", 3)]
+
+    def test_unbound_request_in_nested_generator_is_reported_once(self):
+        findings = lint_src(
+            """\
+            def outer(cpu):
+                def inner():
+                    yield cpu.request()
+                    cpu.release()
+                yield from inner()
+            """
+        )
+        assert rules_at(findings) == [("RES001", 3)]
 
     def test_non_generator_wrapper_is_clean(self):
         findings = lint_src(

@@ -227,6 +227,7 @@ class TestMetadataAndInvariants:
         # invariant after every step.
         import random
 
+        # simlint: disable-next=RNG001 -- drives the test's own interleaving, not a model stream
         rng = random.Random(7)
         held = {}
 

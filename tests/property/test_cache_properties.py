@@ -58,7 +58,7 @@ class TestDiskCacheProperties:
             absorbed = cache.note_write(page)
             assert absorbed
             assert cache.is_dirty(page)
-        for page in set(pages):
+        for page in sorted(set(pages)):
             cache.mark_clean(page)
             assert not cache.is_dirty(page)
 

@@ -40,6 +40,7 @@ jobs = st.lists(
 
 def reference_hold(sim, resource, duration):
     """The event-per-step formulation ``hold`` replaced."""
+    # simlint: disable-next=RES001,RES002 -- the uncancellable request/yield/release reference is the subject
     request = resource.request()
     yield request
     yield sim.timeout(duration)
@@ -209,9 +210,11 @@ def run_held_chains(chains, outer_capacity, inner_capacity, coalesced):
         elif coalesced:
             yield held_chain(outer, inner, outer_time, inner_time)
         else:
+            # simlint: disable-next=RES001,RES002 -- the uncancellable request/yield/release reference is the subject
             request = outer.request()
             yield request
             yield sim.timeout(outer_time)
+            # simlint: disable-next=RES001,RES002 -- the uncancellable request/yield/release reference is the subject
             inner_request = inner.request()
             yield inner_request
             yield sim.timeout(inner_time)

@@ -13,6 +13,8 @@ touched:
 
 They complement ``test_engine_properties.TestSameTimeTieBreaking``:
 that class pins specific interleavings, these generate them.
+``TestOneLoop`` checks that plain, sliced, sanitized and single-step
+runs of one schedule are the same run.
 """
 
 import math
@@ -20,6 +22,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sanitize import SanitizedSimulator, SanitizerReport
 from repro.sim import Simulator
 from repro.sim.resources import Resource
 
@@ -120,6 +123,7 @@ class TestHeapOrdering:
         served = []
 
         def client(tag, long_service):
+            # simlint: disable-next=RES001 -- FIFO order of raw request() grants is the subject
             yield resource.request()
             try:
                 served.append(tag)
@@ -154,3 +158,114 @@ class TestHeapOrdering:
         first = trace()
         second = trace()
         assert first == second
+
+
+#: Delays on a half-unit grid: sums stay exact, so events land exactly
+#: on the slice boundaries drawn from the same grid.
+GRID = (0.0, 0.5, 1.0, 1.5)
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(("timeout", "cohort", "spawn", "relay", "interrupt")),
+        st.one_of(st.sampled_from(GRID), delays),
+    ),
+    min_size=1,
+    max_size=6,
+)
+cuts = st.lists(st.sampled_from([0.5 * i for i in range(16)]), max_size=6)
+
+
+class Poke(Exception):
+    """The cause thrown into an interrupted process."""
+
+
+def play(sim, schedule):
+    """Spawn one worker per step list; return the log they append to.
+
+    The steps mix delayed timeouts, zero-delay cohorts on the ready
+    lane, and three kinds of URGENT entries at the current timestamp:
+    process bootstraps, relays of an already-processed event and
+    interrupt relays.
+    """
+    log = []
+    done = sim.event()
+    done.succeed("done")
+
+    def child(tag, delay):
+        log.append((sim.now, tag, "child"))
+        yield sim.timeout(delay)
+
+    def victim(tag):
+        try:
+            yield sim.timeout(100.0)
+        except Poke:
+            log.append((sim.now, tag, "poked"))
+
+    def worker(tag, plan):
+        for index, (kind, delay) in enumerate(plan):
+            if kind == "timeout":
+                yield sim.timeout(delay)
+            elif kind == "cohort":
+                event = sim.event()
+                event.succeed(index, delay=delay)
+                yield event
+            elif kind == "spawn":
+                yield sim.process(child((tag, index), delay))
+            elif kind == "relay":
+                yield sim.timeout(delay)
+                yield done
+            else:
+                target = sim.process(victim((tag, index)))
+                yield sim.timeout(delay)
+                target.interrupt(Poke())
+            log.append((sim.now, tag, index))
+
+    for tag, plan in enumerate(schedule):
+        sim.process(worker(tag, plan))
+    return log
+
+
+class TestOneLoop:
+    @given(st.lists(steps, min_size=1, max_size=5), cuts)
+    @settings(max_examples=80, deadline=None)
+    def test_plain_sliced_sanitized_and_stepped_runs_agree(self, schedule, slices):
+        """One schedule, four drivers, one dispatch log.
+
+        ``run()`` once, ``run(until=…)`` in slices whose boundaries
+        coincide with event times, a sanitized run in the same slices,
+        and ``step()`` until the event list is empty must all dispatch
+        the same events in the same order.
+        """
+        plain = Simulator()
+        plain_log = play(plain, schedule)
+        plain.run()
+
+        sliced = Simulator()
+        sliced_log = play(sliced, schedule)
+        for cut in sorted(slices):
+            sliced.run(until=cut)
+            assert sliced.now == cut
+        sliced.run()
+
+        report = SanitizerReport()
+        sanitized = SanitizedSimulator(report)
+        sanitized_log = play(sanitized, schedule)
+        for cut in sorted(slices):
+            sanitized.run(until=cut)
+        sanitized.run()
+
+        stepped = Simulator()
+        stepped_log = play(stepped, schedule)
+        while stepped.peek() != math.inf:
+            stepped.step()
+
+        assert sliced_log == plain_log
+        assert sanitized_log == plain_log
+        assert stepped_log == plain_log
+        assert (
+            sliced.events_processed
+            == sanitized.events_processed
+            == stepped.events_processed
+            == plain.events_processed
+        )
+        assert report.ok, report.summary()
+        assert report.events_checked == plain.events_processed

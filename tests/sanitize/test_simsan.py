@@ -101,6 +101,25 @@ class TestMonotonicClock:
         assert [v.check for v in report.violations] == ["monotonic-time"]
         assert "clock moved backwards" in report.violations[0].detail
 
+    def test_clock_rewind_during_unbounded_run_is_caught(self):
+        # The check sits on the clock write, so a run with no horizon
+        # (and a rewind by model code mid-callback) is covered too.
+        report = SanitizerReport()
+        sim = SanitizedSimulator(report)
+        sim.timeout(1.0)
+        rewinder = sim.timeout(3.0)
+
+        def rewind(_event):
+            sim.now = 2.0
+
+        rewinder.callbacks.append(rewind)
+        sim.timeout(4.0)
+        sim.run()
+        assert [v.check for v in report.violations] == ["monotonic-time"]
+        assert "3.0 -> 2.0" in report.violations[0].detail
+        assert report.events_checked == 3
+        assert sim.now == 4.0
+
     def test_normal_schedule_is_clean(self):
         report = SanitizerReport()
         sim = SanitizedSimulator(report)

@@ -330,33 +330,6 @@ class TestConditions:
         sim.run()
         assert caught == [(1.0, "child died")]
 
-    def test_any_of_fires_on_first(self, sim):
-        seen = []
-
-        def proc():
-            index, value = yield sim.any_of(
-                [sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")]
-            )
-            seen.append((sim.now, index, value))
-
-        sim.process(proc())
-        sim.run()
-        assert seen == [(1.0, 1, "fast")]
-
-    def test_any_of_with_already_processed_event(self, sim):
-        done = sim.event()
-        done.succeed("pre")
-        seen = []
-
-        def proc():
-            yield sim.timeout(1.0)
-            index, value = yield sim.any_of([done, sim.timeout(10.0)])
-            seen.append((sim.now, index, value))
-
-        sim.process(proc())
-        sim.run(until=20.0)
-        assert seen == [(1.0, 0, "pre")]
-
 
 class TestDeterminism:
     def test_same_model_same_trace(self):

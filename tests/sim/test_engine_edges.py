@@ -50,36 +50,17 @@ class TestConditionEdges:
         sim.run()
         assert caught == ["direct", "condition"]
 
-    def test_any_of_failure_of_first_component(self, sim):
-        gate = sim.event()
-        caught = []
-
-        def firer():
-            yield sim.timeout(1.0)
-            gate.fail(KeyError("boom"))
-
-        def proc():
-            try:
-                yield sim.any_of([gate, sim.timeout(10.0)])
-            except KeyError:
-                caught.append(sim.now)
-
-        sim.process(proc())
-        sim.process(firer())
-        sim.run(until=20.0)
-        assert caught == [1.0]
-
     def test_nested_conditions(self, sim):
         seen = []
 
         def proc():
             inner = sim.all_of([sim.timeout(1.0, "x"), sim.timeout(2.0, "y")])
-            index, value = yield sim.any_of([inner, sim.timeout(5.0)])
-            seen.append((sim.now, index, value))
+            values = yield sim.all_of([inner, sim.timeout(5.0, "z")])
+            seen.append((sim.now, values))
 
         sim.process(proc())
         sim.run()
-        assert seen == [(2.0, 0, ["x", "y"])]
+        assert seen == [(5.0, [["x", "y"], "z"])]
 
 
 class TestRunEdges:

@@ -22,6 +22,7 @@ class TestResourceBasics:
         grants = []
 
         def proc():
+            # simlint: disable-next=RES001 -- the raw request() grant is what this test checks
             yield res.request()
             grants.append(sim.now)
             res.release()
@@ -40,6 +41,7 @@ class TestResourceBasics:
         log = []
 
         def job(tag, service):
+            # simlint: disable-next=RES001 -- FIFO order of raw request() grants is the subject
             yield res.request()
             log.append(("start", tag, sim.now))
             yield sim.timeout(service)
@@ -78,6 +80,7 @@ class TestResourceBasics:
         grants = []
 
         def holder():
+            # simlint: disable-next=RES001 -- a raw request() holder released in finally is the subject
             yield res.request()
             try:
                 yield sim.timeout(2.0)
@@ -86,6 +89,7 @@ class TestResourceBasics:
                 res.release()
 
         def waiter():
+            # simlint: disable-next=RES001 -- the raw request() grant after the crash is what this test checks
             yield res.request()
             grants.append(sim.now)
             res.release()
@@ -108,13 +112,10 @@ class TestResourceBasics:
         res = Resource(sim, capacity=1)
 
         def holder():
-            yield res.request()
-            yield sim.timeout(5.0)
-            res.release()
+            yield from res.acquire(5.0)
 
         def waiter():
-            yield res.request()
-            res.release()
+            yield from res.acquire(0.0)
 
         sim.process(holder())
         sim.process(waiter())
@@ -192,8 +193,7 @@ class TestResourceStatistics:
             yield from res.acquire(10.0)
 
         def waiter():
-            yield res.request()
-            res.release()
+            yield from res.acquire(0.0)
 
         sim.process(holder())
         sim.process(waiter())
@@ -315,9 +315,7 @@ class TestCancel:
         res = Resource(sim, capacity=1)
 
         def holder():
-            yield res.request()
-            yield sim.timeout(10.0)
-            res.release()
+            yield from res.acquire(10.0)
 
         sim.process(holder())
         sim.run(until=1.0)
@@ -341,9 +339,7 @@ class TestCancel:
         res = Resource(sim, capacity=1)
 
         def holder():
-            yield res.request()
-            yield sim.timeout(2.0)
-            res.release()
+            yield from res.acquire(2.0)
 
         def waiter():
             try:
