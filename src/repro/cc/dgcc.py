@@ -96,8 +96,6 @@ class DgccProtocol(CCProtocol):
         #: pages come from the store, or the owners' buffers by message.
         self.store: PageOwners = shared_store(cluster, gla_map)
         self._epoch = self.config.dgcc_epoch_seconds
-        # Hot-path config values, resolved once.
-        self._lock_op_instr = self.config.instructions_per_lock_op
         #: Conflict-graph construction cost per declared access.
         self._sched_instr = self.config.instructions_per_gem_entry_op
         self._noforce = self.config.noforce
@@ -113,9 +111,7 @@ class DgccProtocol(CCProtocol):
         self._current_layer: Set[int] = set()
         self._batch_event: Optional[Event] = None
         self.lock_wait_time = Tally("dgcc.batch_wait")
-        self.batch_size = Tally("dgcc.batch_size")
         self.batches = 0
-        self.layers_total = 0
         # Requests reach these only at a coordinator node (PCL).
         for node in cluster.nodes:
             node.register_handler("dgcc_join", self._handle_report)
@@ -136,7 +132,6 @@ class DgccProtocol(CCProtocol):
         members = [self._collecting[t] for t in sorted(self._collecting)]
         self._collecting = {}
         self.batches += 1
-        self.batch_size.record(len(members))
         coord = self.store.coordinator()
         total_accesses = sum(len(m.accesses) for m in members)
         # Publish the schedule: word writes to the store, or a
@@ -154,7 +149,6 @@ class DgccProtocol(CCProtocol):
             self._sched_instr * total_accesses
         )
         layers = self._build_layers(members)
-        self.layers_total += len(layers)
         for layer in layers:
             # Members may have died (node crash) since the snapshot.
             alive = [m for m in layer if m.txn_id in self._members]
@@ -235,7 +229,6 @@ class DgccProtocol(CCProtocol):
             # Scheduled plan: per-access grants are local bookkeeping.
             self.local_lock_requests += 1
             txn.local_lock_requests += 1
-            yield from self.cluster.nodes[txn.node].cpu.consume(self._lock_op_instr)
         txn.held_locks[page] = write or txn.held_locks.get(page, False)
         return self.store.grant(
             txn.node, page, self._seqnos.get(page, 0), self._owners.get(page)
@@ -283,8 +276,11 @@ class DgccProtocol(CCProtocol):
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
         # Membership and completion are registered centrally at send
-        # time; this charges the scheduler-side processing cost.
-        yield from node.cpu.consume(self._lock_op_instr)
+        # time, and the scheduler-side processing is in the path
+        # length: nothing to do.  Kept registered so every delivery
+        # still runs a handler process.
+        return
+        yield  # pragma: no cover - makes this a generator
 
     # -- release -----------------------------------------------------------
 
@@ -400,6 +396,4 @@ class DgccProtocol(CCProtocol):
 
     def reset_stats(self) -> None:
         super().reset_stats()
-        self.batch_size.reset()
         self.batches = 0
-        self.layers_total = 0

@@ -97,7 +97,6 @@ class MvccProtocol(CCProtocol):
             LockTable(f"mvccdir{n}") for n in range(self.store.partitions)
         ]
         # Hot-path config values, resolved once.
-        self._lock_op_instr = self.config.instructions_per_lock_op
         self._noforce = self.config.noforce
         #: Monotonic begin/commit timestamp counter (GEM cell or served
         #: by the timestamp authority node under PCL; it is modelled as
@@ -111,9 +110,6 @@ class MvccProtocol(CCProtocol):
         #: blocker txn -> [(waiter txn, wake event)] validation waits.
         self._waiters: Dict[int, List[Tuple[int, Event]]] = {}
         self.lock_wait_time = Tally("mvcc.validation_wait")
-        self.timestamps_drawn = 0
-        self.reservation_conflicts = 0
-        self.validation_failures = 0
         self.commits_validated = 0
         # Requests reach these only from a remote partition (PCL).
         for node in cluster.nodes:
@@ -147,7 +143,6 @@ class MvccProtocol(CCProtocol):
         """Draw a timestamp: one store word access, or a message round
         to the timestamp authority (local processing when the authority
         is this node)."""
-        self.timestamps_drawn += 1
         node = self.cluster.nodes[node_id]
         while True:
             authority = self.store.central(node_id)
@@ -173,7 +168,6 @@ class MvccProtocol(CCProtocol):
     def _handle_ts(
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
-        yield from node.cpu.consume(self._lock_op_instr)
         response: TimestampResponsePayload = {
             "ts": self._alloc_ts(payload["txn_id"], payload["commit"])
         }
@@ -219,7 +213,6 @@ class MvccProtocol(CCProtocol):
                 # invalidates the copy, so a restart refetches).
                 self.local_lock_requests += 1
                 txn.local_lock_requests += 1
-                yield from self.cluster.nodes[node_id].cpu.consume(self._lock_op_instr)
                 seqno = self._record(txn, page, False, cached_version)
                 return LockGrant(seqno, source=PageSource.STORAGE, local=True)
             grant = yield from self._acquire_remote(
@@ -234,7 +227,6 @@ class MvccProtocol(CCProtocol):
         recorded = txn.read_versions.get(page)
         if recorded is None or recorded == current:
             return False
-        self.validation_failures += 1
         self.cluster.nodes[txn.node].buffer.invalidate_stale(page, current)
         return True
 
@@ -242,7 +234,6 @@ class MvccProtocol(CCProtocol):
         """Take the first-writer-wins reservation; False on conflict."""
         holder = self._reservations.get(page)
         if holder is not None and holder != txn_id:
-            self.reservation_conflicts += 1
             return False
         self._reservations[page] = txn_id
         return True
@@ -295,7 +286,6 @@ class MvccProtocol(CCProtocol):
         if payload is None:
             return None
         if payload.get("aborted"):
-            self.reservation_conflicts += 1
             raise TransactionAborted(txn_id)
         seqno = self._record(txn, page, write, payload["seqno"])
         return self._reply_grant(seqno, payload)
@@ -304,7 +294,6 @@ class MvccProtocol(CCProtocol):
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
         page = payload["page"]
-        yield from node.cpu.consume(self._lock_op_instr)
         seqno = self.tables[payload["home"]].entry(page).seqno
         # Reads are sent only for uncached pages.
         supplied = self.store.supplies(node, page, seqno, None)
@@ -322,7 +311,6 @@ class MvccProtocol(CCProtocol):
     ) -> Generator[Event, Any, None]:
         txn_id = payload["txn_id"]
         page = payload["page"]
-        yield from node.cpu.consume(self._lock_op_instr)
         if not self._reserve(txn_id, page):
             refusal: LockResponsePayload = {"aborted": True}
             yield from node.comm.send(
@@ -380,7 +368,6 @@ class MvccProtocol(CCProtocol):
                 if self._table_for(page).entry(page).seqno != version
             ]
             if stale:
-                self.validation_failures += 1
                 buffer = self.cluster.nodes[node_id].buffer
                 for page, current in stale:
                     # Drop the superseded local copy so the restarted
@@ -437,9 +424,6 @@ class MvccProtocol(CCProtocol):
     def _handle_validate(
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
-        yield from node.cpu.consume(
-            self._lock_op_instr * max(1, len(payload["pages"]))
-        )
         yield from node.comm.send(
             payload["requester"], "mv_validate_rsp", {}, reply_event=payload["reply"]
         )
@@ -579,9 +563,6 @@ class MvccProtocol(CCProtocol):
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
         home = payload["home"]
-        yield from node.cpu.consume(
-            self._lock_op_instr * max(1, len(payload["pages"]))
-        )
         for page, version in payload["pages"]:
             if payload["carry_pages"]:
                 yield from self.store.receive(node, home, page, version)
@@ -594,11 +575,12 @@ class MvccProtocol(CCProtocol):
     def _handle_abort(
         self, node: "Node", payload: Mapping[str, Any]
     ) -> Generator[Event, Any, None]:
-        # Reservation state is kept centrally (dropped by the sender);
-        # this charges the GLA-side processing cost.
-        yield from node.cpu.consume(
-            self._lock_op_instr * max(1, len(payload["pages"]))
-        )
+        # Reservation state is kept centrally (dropped by the sender),
+        # and the GLA-side processing is in the path length: nothing
+        # to do.  Kept registered so every delivery still runs a
+        # handler process.
+        return
+        yield  # pragma: no cover - makes this a generator
 
     # -- write-back hook ---------------------------------------------------
 
@@ -684,7 +666,4 @@ class MvccProtocol(CCProtocol):
 
     def reset_stats(self) -> None:
         super().reset_stats()
-        self.timestamps_drawn = 0
-        self.reservation_conflicts = 0
-        self.validation_failures = 0
         self.commits_validated = 0

@@ -11,10 +11,11 @@ keep their message kinds, payloads and handlers, and this module owns
 every step they share:
 
 * **partition calls** -- a request against a partition is processed
-  locally when this node hosts it (one lock operation's CPU, no
-  message) and is otherwise a watched request/reply round trip to the
-  host, retried when the host crashed before answering; host
-  resolution waits while a partition is fenced for reassignment;
+  locally when this node hosts it (free: no message, and its CPU is
+  in the transaction path length) and is otherwise a watched
+  request/reply round trip to the host, retried when the host crashed
+  before answering; host resolution waits while a partition is fenced
+  for reassignment;
 * **page carry (NOFORCE)** -- the GLA node doubles as the page owner
   of its partition: a modified page travels to it with the release
   (the sender marks its copy clean), and the GLA supplies the current
@@ -64,7 +65,6 @@ class Partitions(PageOwners):
         super().__init__(cluster)
         self.gla_map = gla_map
         self.partitions = cluster.config.num_nodes
-        self._lock_op_instr = cluster.config.instructions_per_lock_op
 
     # -- partition calls -----------------------------------------------------
 
@@ -82,12 +82,6 @@ class Partitions(PageOwners):
 
     def central(self, node_id: int) -> int:
         return self.coordinator()
-
-    def process(
-        self, node_id: int, count: int, txn_id: Optional[int] = None
-    ) -> Iterator[Event]:
-        """Local processing at the host: one lock operation's CPU."""
-        return self.cluster.nodes[node_id].cpu.consume(self._lock_op_instr)
 
     def access(
         self, node_id: int, count: int, txn_id: Optional[int] = None

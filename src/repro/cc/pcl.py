@@ -99,7 +99,6 @@ class PrimaryCopyProtocol(CCProtocol):
             LockTable(f"gla{n}") for n in range(cluster.config.num_nodes)
         ]
         # Hot-path config values, resolved once.
-        self._lock_op_instr = self.config.instructions_per_lock_op
         self._noforce = self.config.noforce
         self._read_opt = self.config.pcl_read_optimization
         self.lock_wait_time = Tally("pcl.lock_wait")
@@ -167,7 +166,6 @@ class PrimaryCopyProtocol(CCProtocol):
         txn.local_lock_requests += 1
         node = self.cluster.nodes[txn.node]
         table = self.tables[home]
-        yield from node.cpu.consume(self._lock_op_instr)
         wait = self._lock(txn.txn_id, table, page, mode, phases.LOCK_LOCAL)
         if wait is not None:
             yield from wait
@@ -193,7 +191,6 @@ class PrimaryCopyProtocol(CCProtocol):
         node = self.cluster.nodes[txn.node]
         table = self.tables[home]
         already_held = table.holds(txn.txn_id, page) is not None
-        yield from node.cpu.consume(self._lock_op_instr)
         wait = self._lock(txn.txn_id, table, page, LockMode.SHARED, phases.LOCK_LOCAL)
         if wait is not None:
             yield from wait
@@ -273,7 +270,6 @@ class PrimaryCopyProtocol(CCProtocol):
         reply: Event = payload["reply"]
         home = payload.get("home", node.node_id)
         table = self.tables[home]
-        yield from node.cpu.consume(self._lock_op_instr)
         try:
             # Charged to the *requesting* transaction as a global lock
             # wait: its process is suspended inside a COMM span

@@ -19,10 +19,11 @@ reaches it by messages (:mod:`repro.cc.partitions`).
   holds the watched request/reply round trip and the crash-time scan
   for pages whose only write-back copy died.
 * :class:`SharedStore` -- adds the word operations (``access``,
-  ``update``, ``reread``).  Every store access is one chained entry
-  (:func:`~repro.sim.resources.held_chain`: CPU, then the store server
-  on top of it) built in :meth:`SharedStore._access`, the only place.
-  All state is in one partition that every node reaches directly.
+  ``update``, ``reread``).  Every store access goes through
+  :meth:`SharedStore._access`: one synchronous access
+  (:meth:`~repro.node.cpu.CpuPool.synchronous`: CPU, then the store
+  server on top of it).  All state is in one partition that every node
+  reaches directly.
 * :class:`GemStore` -- GEM: entry accesses against the GEM server; an
   update is two of them.  Page fetches go to the owner by message, or
   through a GEM exchange buffer (``config.page_transfer_via_gem``).
@@ -55,7 +56,7 @@ from repro.db.pages import PageId
 from repro.node.lock_table import LockTable
 from repro.obs import phases
 from repro.sim.engine import Event
-from repro.sim.resources import Resource, compound_cancel, held_chain
+from repro.sim.resources import Resource
 from repro.sim.stats import Tally
 from repro.system.config import Coupling
 from repro.workload.transaction import Transaction
@@ -419,23 +420,13 @@ class SharedStore(PageOwners):
         service_time: float,
         txn_id: Optional[int] = None,
     ) -> Generator[Event, Any, None]:
-        """One synchronous store access from ``node_id``.
-
-        ``instr`` instructions on one of the node's CPUs, then
-        ``service_time`` at the store server with that CPU still held
-        -- one chained entry, whatever queuing happens at either.
-        """
+        """One synchronous store access from ``node_id``: ``instr``
+        instructions on one of the node's CPUs, then ``service_time``
+        at the store server with that CPU still held
+        (:meth:`~repro.node.cpu.CpuPool.synchronous`)."""
         cpu = self.cluster.nodes[node_id].cpu
-        cpu.instructions_executed += instr
         with self.recorder.span(txn_id, self.phase):
-            done = held_chain(
-                cpu.resource, self.server, instr / cpu.speed, service_time
-            )
-            try:
-                yield done
-            except BaseException:
-                compound_cancel(done)
-                raise
+            yield from cpu.synchronous(self.server, instr, service_time)
 
     def update(
         self, node_id: int, count: int = 1, txn_id: Optional[int] = None
@@ -493,12 +484,9 @@ class GemStore(SharedStore):
         version = self.cluster.nodes[owner].buffer.cached_version(page)
         if version is None:
             return None
-        gem = self.gem
+        instr = self.config.instructions_per_gem_io
         for side in (owner, node_id):
-            gem.page_accesses += 1
-            yield from self._access(
-                side, self.config.instructions_per_gem_io, gem.page_access_time
-            )
+            yield from self.gem.page_access(self.cluster.nodes[side].cpu, instr)
         return version
 
 

@@ -63,7 +63,6 @@ class StoreLockingProtocol(CCProtocol):
         #: Named after the coupling, like PCL's "pcl".
         self.name = cluster.config.coupling.value
         self.glt = LockTable("glt")
-        self._lock_op_instr = self.config.instructions_per_lock_op
         self._auth = self.config.gem_lock_authorizations
         self._noforce = self.config.noforce
         self.lock_wait_time = Tally("glt.lock_wait")
@@ -90,7 +89,6 @@ class StoreLockingProtocol(CCProtocol):
             # Sole-interest refinement (section 2): the local lock
             # manager processes the request without any GEM access.
             self.authorized_lock_requests += 1
-            yield from node.cpu.consume(self._lock_op_instr)
         else:
             # Update the GLT entry: grant registered, or wait registered
             # on conflict.
@@ -193,10 +191,10 @@ class StoreLockingProtocol(CCProtocol):
             if self.glt.holds(txn_id, page) is None:
                 held.pop(page, None)
                 continue
+            # An authorized page is released locally, without any GEM
+            # access.
             authorized = self._auth and page in node.gem_auth
-            if authorized:
-                yield from node.cpu.consume(self._lock_op_instr)
-            else:
+            if not authorized:
                 yield from self.store.update(node_id)
             new_version = modified.get(page)
             if new_version is not None:

@@ -86,9 +86,7 @@ class DebitCreditLayout:
                 index=account_index,
                 num_pages=self.total_accounts // config.account_blocking_factor,
                 blocking_factor=config.account_blocking_factor,
-                storage=config.account_storage,
                 disks=config.account_disks_per_node * num_nodes,
-                cache_pages=config.account_cache_pages,
             )
         )
         partitions.append(
@@ -98,9 +96,7 @@ class DebitCreditLayout:
                 num_pages=None,  # unbounded sequential file
                 blocking_factor=config.history_blocking_factor,
                 lockable=False,
-                storage=config.history_storage,
                 disks=config.history_disks_per_node * num_nodes,
-                cache_pages=config.history_cache_pages,
             )
         )
         self.database = Database(partitions)

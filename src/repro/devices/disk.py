@@ -92,28 +92,22 @@ class DiskArray:
     def _disk_service(self, page: PageId) -> Generator[Event, Any, None]:
         yield from self._disk_for(page).acquire(self.stream.exponential(self.disk_time))
 
-    # -- public I/O operations ---------------------------------------------
-
-    def read(self, page: PageId, lead: Legs = ()) -> Generator[Event, Any, int]:
-        """Read ``page``; returns the version found on permanent storage.
-
-        The whole access -- optional ``lead`` legs (the issuing node's
-        CPU setup slice), controller service, bus transfer, disk
-        service on a miss -- runs as ONE :func:`hold_seq` chain: the
-        caller suspends once per I/O instead of once per leg, with the
-        exponential service times drawn lazily at each leg's start,
-        exactly where the step-per-leg formulation sampled them.
-        """
-        self.reads += 1
-        cache = self.cache
-        hit = cache is not None and cache.lookup_for_read(page)
+    def _io(
+        self, page: PageId, lead: Legs, disk: bool
+    ) -> Generator[Event, Any, None]:
+        """One I/O as ONE :func:`hold_seq` chain: the ``lead`` legs,
+        controller service, bus transfer and, when ``disk`` (the cache
+        did not serve it), the disk service.  The caller suspends once
+        per I/O instead of once per leg; the exponential service times
+        are drawn lazily at each leg's start, exactly where the
+        step-per-leg formulation sampled them."""
         stream = self.stream
         legs: Legs = (
             *lead,
             (self.controllers, self.controller_time, stream),
             (None, self.transfer_time, None),
         )
-        if not hit:
+        if disk:
             legs = (*legs, (self._disk_for(page), self.disk_time, stream))
         done = hold_seq(self.sim, legs)
         try:
@@ -121,6 +115,20 @@ class DiskArray:
         except BaseException:
             compound_cancel(done)
             raise
+
+    # -- public I/O operations ---------------------------------------------
+
+    def read(self, page: PageId, lead: Legs = ()) -> Generator[Event, Any, int]:
+        """Read ``page``; returns the version found on permanent storage.
+
+        The whole access -- optional ``lead`` legs (the issuing node's
+        CPU setup slice), controller service, bus transfer, disk
+        service on a miss -- is one :meth:`_io`.
+        """
+        self.reads += 1
+        cache = self.cache
+        hit = cache is not None and cache.lookup_for_read(page)
+        yield from self._io(page, lead, not hit)
         if not hit:
             self.disk_reads += 1
             if cache is not None:
@@ -136,25 +144,12 @@ class DiskArray:
         after the cache write for a non-volatile cache (destage then
         happens in the background).  ``version=None`` performs the
         timing without ledger bookkeeping (log writes).  One
-        :func:`hold_seq` chain, as in :meth:`read`.
+        :meth:`_io`, as in :meth:`read`.
         """
         self.writes += 1
         cache = self.cache
         absorbed = cache is not None and cache.note_write(page)
-        stream = self.stream
-        legs: Legs = (
-            *lead,
-            (self.controllers, self.controller_time, stream),
-            (None, self.transfer_time, None),
-        )
-        if not absorbed:
-            legs = (*legs, (self._disk_for(page), self.disk_time, stream))
-        done = hold_seq(self.sim, legs)
-        try:
-            yield done
-        except BaseException:
-            compound_cancel(done)
-            raise
+        yield from self._io(page, lead, not absorbed)
         if absorbed:
             if version is not None:
                 self.ledger.write_storage(page, version)

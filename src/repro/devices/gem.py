@@ -3,18 +3,21 @@
 GEM is a non-volatile, shared semiconductor store with a page- and
 entry-oriented access interface (section 2).  Accesses are synchronous:
 the accessing node's CPU stays busy for the complete access, including
-any queuing delay at the GEM server.  The *caller* is therefore
-responsible for holding a CPU unit around each access (entry accesses
-are chained CPU-then-server by :class:`repro.cc.store.GemStore`); this
-module only models the GEM server itself.
+any queuing delay at the GEM server.  Both kinds are one
+:meth:`~repro.node.cpu.CpuPool.synchronous` access: page accesses
+through :meth:`GemDevice.page_access`, entry accesses through
+:class:`repro.cc.store.GemStore`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Generator, TYPE_CHECKING
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.node.cpu import CpuPool
 
 __all__ = ["GemDevice"]
 
@@ -43,15 +46,14 @@ class GemDevice:
         self.page_accesses = 0
         self.entry_accesses = 0
 
-    def access_page(self) -> Iterator[Event]:
-        """One synchronous page read or write (caller holds its CPU).
-
-        Returns the server's acquire generator directly (callers
-        delegate with ``yield from``); the wrapper frame would be
-        resumed on every event otherwise.
-        """
+    def page_access(
+        self, cpu: "CpuPool", instructions: float
+    ) -> Generator[Event, Any, None]:
+        """One synchronous page read or write: ``instructions`` to
+        initiate it on one of ``cpu``'s CPUs, then the page access with
+        that CPU still held."""
         self.page_accesses += 1
-        return self.server.acquire(self.page_access_time)
+        return cpu.synchronous(self.server, instructions, self.page_access_time)
 
     def utilization(self) -> float:
         return self.server.utilization()

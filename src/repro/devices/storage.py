@@ -3,14 +3,19 @@
 The directory owns the translation of a logical page I/O into device
 operations plus the CPU overhead they cost at the issuing node:
 
-* disk-based devices: 3000 instructions per page I/O, then the device
-  operation proceeds without holding a CPU;
+* disk-based devices: 3000 instructions per page I/O, as the lead leg
+  of the device operation's chain; the disk service itself proceeds
+  without holding a CPU;
 * GEM-resident files: 300 instructions to initiate, then the page
   access is *synchronous* -- the CPU stays busy for the whole access,
-  including queuing at the GEM server (section 2).
+  including queuing at the GEM server (section 2).  That is one
+  :meth:`GemDevice.page_access`, a
+  :meth:`~repro.node.cpu.CpuPool.synchronous` access.
 
-Log files are written through :meth:`StorageDirectory.write_log` to a
-per-node log disk with the reduced sequential-access disk time.
+A log file is one more backend: a per-node log disk with the reduced
+sequential-access disk time, or GEM (``log_in_gem``).  A GEM write
+buffer takes a partition's writes as synchronous GEM page writes and
+destages them to its disks in the background.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Union
 
 from repro.db.pages import PageId, VersionLedger
-from repro.devices.disk import DiskArray
+from repro.devices.disk import DiskArray, Legs
 from repro.devices.gem import GemDevice
 from repro.node.cpu import CpuPool
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import compound_cancel, held_chain
 
 __all__ = ["StorageDirectory"]
 
@@ -89,34 +93,7 @@ class StorageDirectory:
             # The permanent copy may be behind a crashed node's lost
             # buffer update: block until REDO recovery restores it.
             yield from self.faults.wait_redo(page)
-        backend = self._backends[page[0]]
-        if isinstance(backend, GemDevice):
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = backend
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                compound_cancel(done)
-                raise
-            return self.ledger.storage_version(page)
-        # Disk-resident file: the CPU setup slice rides as the lead leg
-        # of the disk I/O's hold_seq chain -- one suspension covers
-        # CPU, controller, transfer and disk service.
-        instr = self.instructions_per_io
-        lead: Any = ()
-        if instr:
-            cpu.instructions_executed += instr
-            lead = ((cpu.resource, instr / cpu.speed, None),)
-        version = yield from backend.read(page, lead=lead)
-        return version
+        return (yield from self._read(self._backends[page[0]], page, cpu))
 
     def write(
         self, page: PageId, version: Optional[int], cpu: CpuPool
@@ -127,54 +104,14 @@ class StorageDirectory:
         (pages of latch-protected partitions carry no version).
         """
         backend = self._backends[page[0]]
-        if isinstance(backend, GemDevice):
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = backend
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                compound_cancel(done)
-                raise
-            if version is not None:
-                self.ledger.write_storage(page, version)
-            return
         write_buffer = self._write_buffers.get(page[0])
-        if write_buffer is not None:
-            # GEM write buffer: the write is durable after a synchronous
-            # GEM page access; the disk copy is updated asynchronously.
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = write_buffer
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                compound_cancel(done)
-                raise
-            if version is not None:
-                self.ledger.write_storage(page, version)
-            self.sim.process(self._destage(backend, page), name="gem-wbuf-destage")
+        if write_buffer is None:
+            yield from self._write(backend, page, version, cpu)
             return
-        instr = self.instructions_per_io
-        lead: Any = ()
-        if instr:
-            cpu.instructions_executed += instr
-            lead = ((cpu.resource, instr / cpu.speed, None),)
-        yield from backend.write(page, version, lead=lead)
+        # GEM write buffer: the write is durable after a synchronous
+        # GEM page access; the disk copy is updated asynchronously.
+        yield from self._write(write_buffer, page, version, cpu)
+        self.sim.process(self._destage(backend, page), name="gem-wbuf-destage")
 
     def _destage(self, backend: DiskArray, page: PageId):
         """Background disk update behind the GEM write buffer."""
@@ -187,30 +124,7 @@ class StorageDirectory:
         non-volatile GEM), so REDO always reads from the *crashed*
         node's log -- charged to the recovering node's CPU.
         """
-        if self._log_gem is not None:
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = self._log_gem
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                compound_cancel(done)
-                raise
-            return
-        log_disk = self._log_disks[node_id]
-        instr = self.instructions_per_io
-        lead: Any = ()
-        if instr:
-            cpu.instructions_executed += instr
-            lead = ((cpu.resource, instr / cpu.speed, None),)
-        yield from log_disk.read((-1 - node_id, 0), lead=lead)
+        yield from self._read(self._log(node_id), (-1 - node_id, 0), cpu)
 
     def write_log(self, node_id: int, cpu: CpuPool) -> Generator[Event, Any, None]:
         """Write one log page at commit (phase 1).
@@ -219,28 +133,42 @@ class StorageDirectory:
         as a synchronous GEM page write (non-volatile, so immediately
         durable and more than two orders of magnitude faster).
         """
-        if self._log_gem is not None:
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = self._log_gem
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                compound_cancel(done)
-                raise
-            return
-        log_disk = self._log_disks[node_id]
-        instr = self.instructions_per_io
-        lead: Any = ()
-        if instr:
-            cpu.instructions_executed += instr
-            lead = ((cpu.resource, instr / cpu.speed, None),)
         self._log_seq += 1
-        yield from log_disk.write((-1 - node_id, self._log_seq), None, lead=lead)
+        page = (-1 - node_id, self._log_seq)
+        yield from self._write(self._log(node_id), page, None, cpu)
+
+    # -- one page I/O on one backend ------------------------------------------
+
+    def _log(self, node_id: int) -> Backend:
+        """The device holding ``node_id``'s log file."""
+        if self._log_gem is not None:
+            return self._log_gem
+        return self._log_disks[node_id]
+
+    def _read(
+        self, backend: Backend, page: PageId, cpu: CpuPool
+    ) -> Generator[Event, Any, int]:
+        if isinstance(backend, GemDevice):
+            yield from backend.page_access(cpu, self.instructions_per_gem_io)
+            return self.ledger.storage_version(page)
+        return (yield from backend.read(page, self._lead(cpu)))
+
+    def _write(
+        self, backend: Backend, page: PageId, version: Optional[int], cpu: CpuPool
+    ) -> Generator[Event, Any, None]:
+        if isinstance(backend, GemDevice):
+            yield from backend.page_access(cpu, self.instructions_per_gem_io)
+            if version is not None:
+                self.ledger.write_storage(page, version)
+            return
+        yield from backend.write(page, version, self._lead(cpu))
+
+    def _lead(self, cpu: CpuPool) -> Legs:
+        """The CPU setup slice of a disk I/O, as the lead leg of the
+        I/O's ``hold_seq`` chain: one suspension covers CPU,
+        controller, transfer and disk service."""
+        instr = self.instructions_per_io
+        if not instr:
+            return ()
+        cpu.instructions_executed += instr
+        return ((cpu.resource, instr / cpu.speed, None),)

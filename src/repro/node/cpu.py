@@ -6,17 +6,19 @@ demand in the model -- transaction path length, message send/receive
 overhead, I/O overhead -- is expressed in instructions and converted to
 service time here.
 
-Synchronous GEM accesses keep the CPU busy for the complete access
-(section 2); model code holds :attr:`CpuPool.resource` across such a
-compound operation with :func:`repro.sim.resources.held_chain`.
+A synchronous access -- a GEM page or entry access, an RDMA verb --
+keeps the CPU busy for the complete access, queuing at the accessed
+server included (section 2).  :meth:`CpuPool.synchronous` is the one
+implementation of it: every CPU-held access in the model goes through
+it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Generator, Iterator, Optional
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, compound_cancel, held_chain
 from repro.sim.rng import Stream
 
 __all__ = ["CpuPool"]
@@ -43,9 +45,6 @@ class CpuPool:
         self.resource = Resource(sim, capacity=num_cpus, name=name)
         self.instructions_executed = 0.0
 
-    def service_time(self, instructions: float) -> float:
-        return instructions / self.speed
-
     def consume(self, instructions: float) -> Iterator[Event]:
         """Execute a fixed number of instructions on one CPU.
 
@@ -63,13 +62,25 @@ class CpuPool:
         self.instructions_executed += instructions
         return self.resource.acquire(instructions / self.speed)
 
-    def consume_exp(self, mean_instructions: float) -> Iterator[Event]:
-        """Execute an exponentially distributed number of instructions."""
-        instructions = self.stream.exponential(mean_instructions)
+    def synchronous(
+        self, server: Resource, instructions: float, service_time: float
+    ) -> Generator[Event, Any, None]:
+        """One synchronous access to ``server``.
+
+        ``instructions`` on one CPU, then ``service_time`` at
+        ``server`` with that CPU still held -- one chained entry
+        (:func:`~repro.sim.resources.held_chain`), whatever queuing
+        happens at either, so the caller suspends once per access.
+        """
         self.instructions_executed += instructions
-        if instructions:
-            return self.resource.acquire(instructions / self.speed)
-        return iter(())
+        done = held_chain(
+            self.resource, server, instructions / self.speed, service_time
+        )
+        try:
+            yield done
+        except BaseException:
+            compound_cancel(done)
+            raise
 
     # -- statistics -----------------------------------------------------
 

@@ -81,13 +81,12 @@ class TransactionManager:
                 buffer = node.buffer
                 held_locks = txn.held_locks  # cleared in place on restart
                 grants = txn.grants
-                # The three CPU phases below inline cpu.consume_exp:
-                # the exponential draw ``-log(1 - U) * mean`` consumes
-                # the same uniform from the same stream as
-                # ``expovariate(1 / mean)``, minus the method-call and
-                # division overhead; the grant/hold/release accounting
-                # is unchanged, minus the acquire-generator frame on
-                # every resume.  Each slice is coalesced
+                # The three CPU phases below draw an exponential
+                # number of instructions around its mean inline: the
+                # draw ``-log(1 - U) * mean`` consumes the same uniform
+                # from the CPU's stream as ``Stream.exponential(mean)``
+                # (``expovariate(1 / mean)``), minus the method-call and
+                # division overhead.  Each slice is coalesced
                 # (Resource.hold): one slice-end entry, one resume,
                 # whether or not the CPU is contended.  The per-access
                 # phase -- the hottest span site in the simulator --

@@ -97,12 +97,6 @@ class DebitCreditConfig:
     #: Disk-cache capacity for BRANCH/TELLER when cached storage kinds
     #: are selected; 0 means "size to hold the whole file".
     branch_teller_cache_pages: int = 0
-    #: Storage allocation of ACCOUNT and HISTORY (always disks in the
-    #: paper's experiments; configurable for extensions).
-    account_storage: StorageKind = StorageKind.DISK
-    history_storage: StorageKind = StorageKind.DISK
-    account_cache_pages: int = 0
-    history_cache_pages: int = 0
 
 
 @dataclasses.dataclass
@@ -284,10 +278,6 @@ class SystemConfig:
     #: simple scheme (every request against the GLT); this is the
     #: sketched refinement as an ablation.  GEM coupling with 2PL only.
     gem_lock_authorizations: bool = False
-    #: CPU instructions for processing a lock request/release in a
-    #: local lock manager (0 = included in the path length, as the
-    #: paper's 250k path length already covers normal CC processing).
-    instructions_per_lock_op: float = 0.0
 
     # -- fault injection ---------------------------------------------------
     #: Crash/restart schedule and recovery cost model; None disables

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.devices.gem import GemDevice
-from repro.sim import Simulator
+from repro.node.cpu import CpuPool
+from repro.sim import Simulator, StreamRegistry
 from repro.sim.engine import SimulationError
 
 from tests.helpers import drive_cluster, quiesced_cluster
@@ -14,18 +15,29 @@ def sim():
     return Simulator()
 
 
+def make_cpu(sim, cpus=4):
+    """10 MIPS CPUs: 300 initiation instructions take 30 us."""
+    return CpuPool(sim, cpus, 10.0, StreamRegistry(1).stream("cpu"))
+
+
 class TestAccessTimes:
     def test_page_access_time(self, sim):
         gem = GemDevice(sim, page_access_time=50e-6)
+        cpu = make_cpu(sim)
         done = []
 
         def proc():
-            yield from gem.access_page()
+            yield from gem.page_access(cpu, 300)
             done.append(sim.now)
 
         sim.process(proc())
         sim.run()
-        assert done == [pytest.approx(50e-6)]
+        # 30 us to initiate, then the 50 us page access.
+        assert done == [pytest.approx(80e-6)]
+        assert gem.page_accesses == 1
+        assert cpu.instructions_executed == 300
+        # The CPU was held for the whole access.
+        assert cpu.busy_time() == pytest.approx(80e-6)
 
     # Entry accesses are issued by the shared-store substrate (one
     # chained CPU-then-server access); the device keeps the counter.
@@ -61,10 +73,11 @@ class TestAccessTimes:
 class TestQueuing:
     def test_single_server_serializes_accesses(self, sim):
         gem = GemDevice(sim, servers=1, page_access_time=50e-6)
+        cpu = make_cpu(sim)
         done = []
 
         def proc(tag):
-            yield from gem.access_page()
+            yield from gem.page_access(cpu, 0)
             done.append((tag, sim.now))
 
         sim.process(proc("a"))
@@ -75,10 +88,11 @@ class TestQueuing:
 
     def test_multi_server_parallelism(self, sim):
         gem = GemDevice(sim, servers=2, page_access_time=50e-6)
+        cpu = make_cpu(sim)
         done = []
 
         def proc():
-            yield from gem.access_page()
+            yield from gem.page_access(cpu, 0)
             done.append(sim.now)
 
         sim.process(proc())
@@ -88,9 +102,10 @@ class TestQueuing:
 
     def test_utilization_accounting(self, sim):
         gem = GemDevice(sim, page_access_time=0.1)
+        cpu = make_cpu(sim)
 
         def proc():
-            yield from gem.access_page()
+            yield from gem.page_access(cpu, 0)
 
         sim.process(proc())
         sim.run()
@@ -102,7 +117,7 @@ class TestQueuing:
         gem = cluster.gem
 
         def proc():
-            yield from gem.access_page()
+            yield from gem.page_access(cluster.nodes[0].cpu, 300)
             yield from cluster.protocol.store.access(0, 1)
 
         drive_cluster(cluster, proc())

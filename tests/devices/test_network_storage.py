@@ -10,6 +10,8 @@ from repro.devices.storage import StorageDirectory
 from repro.node.cpu import CpuPool
 from repro.sim import Simulator, StreamRegistry
 
+from tests.helpers import quiesced_cluster
+
 
 @pytest.fixture
 def sim():
@@ -200,3 +202,90 @@ class TestGemCpuGrantLeak:
         sim.run()
         assert done and done[0] == pytest.approx(1.0 + 30e-6 + 50e-6)
         assert cpu.resource.busy == 0
+
+    # Every CPU-held access form, as (directory call, server leg).  The
+    # GEM forms and the store entry are one CpuPool.synchronous access
+    # (the CPU stays held at the server); the disk forms lead with the
+    # CPU slice and then queue at the controllers.
+    FORMS = {
+        "gem-read": (lambda d, cpu: d.read((1, 3), cpu), "gem"),
+        "gem-write": (lambda d, cpu: d.write((1, 3), 1, cpu), "gem"),
+        "gem-wbuf-write": (lambda d, cpu: d.write((2, 3), 1, cpu), "gem"),
+        "gem-log-read": (lambda d, cpu: d.read_log(0, cpu), "gem"),
+        "gem-log-write": (lambda d, cpu: d.write_log(0, cpu), "gem"),
+        "disk-read": (lambda d, cpu: d.read((0, 3), cpu), "ctrl"),
+        "disk-write": (lambda d, cpu: d.write((0, 3), 1, cpu), "ctrl"),
+    }
+
+    def _rig(self, sim, form):
+        """(simulator, cpu, access factory, server hogged in the
+        server stage, every resource the access may hold)."""
+        if form == "store-entry":
+            cluster = quiesced_cluster()
+            cpu = cluster.nodes[0].cpu
+            store = cluster.protocol.store
+            server = cluster.gem.server
+            units = [cpu.resource, server]
+            return cluster.sim, cpu, lambda: store.access(0, 1), server, units
+        ledger = VersionLedger()
+        streams = StreamRegistry(1)
+        gem = GemDevice(sim, page_access_time=50e-6)
+        directory = StorageDirectory(sim, ledger, 3000.0, 300.0, log_gem=gem)
+        disks = DiskArray(sim, "d", 1, ledger, streams.stream("d"))
+        buffered = DiskArray(sim, "w", 1, ledger, streams.stream("w"))
+        directory.assign(0, disks)
+        directory.assign(1, gem)
+        directory.assign(2, buffered, gem_write_buffer=gem)
+        cpu = CpuPool(sim, 1, 10.0, streams.stream("cpu"))
+        call, leg = self.FORMS[form]
+        server = gem.server if leg == "gem" else disks.controllers
+        units = [cpu.resource, gem.server]
+        for array in (disks, buffered):
+            units += [array.controllers, *array.disks]
+        return sim, cpu, lambda: call(directory, cpu), server, units
+
+    @pytest.mark.parametrize("stage", ["cpu-queued", "server-queued"])
+    @pytest.mark.parametrize("form", [*FORMS, "store-entry"])
+    def test_interrupted_access_releases_every_unit(self, sim, form, stage):
+        """Interrupt the access while it queues for the CPU (every CPU
+        unit hogged) or for its server (the server hogged; a
+        synchronous access holds its CPU meanwhile): afterwards no
+        resource keeps a busy or queued unit for it, and a later access
+        of the same form completes."""
+        from repro.errors import NodeCrashed
+
+        sim, cpu, access, server, units = self._rig(sim, form)
+        hogged = cpu.resource if stage == "cpu-queued" else server
+
+        def hog():
+            yield from hogged.acquire(1.0)
+
+        def victim():
+            try:
+                yield from access()
+            except NodeCrashed:
+                return
+
+        for _ in range(hogged.capacity):
+            sim.process(hog())
+        proc = sim.process(victim())
+        sim.run(until=0.5)
+        assert hogged.queue_length == 1
+        assert proc.interrupt(NodeCrashed(0))
+        sim.run(until=0.501)
+        assert hogged.queue_length == 0
+        # Only the hogs still hold a CPU.
+        hogs = cpu.resource.capacity if stage == "cpu-queued" else 0
+        assert cpu.resource.busy == hogs
+
+        done = []
+
+        def late():
+            yield from access()
+            done.append(sim.now)
+
+        sim.process(late())
+        sim.run(until=50.0)
+        assert done and done[0] > 1.0
+        for unit in units:
+            assert (unit.name, unit.busy, unit.queue_length) == (unit.name, 0, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.node.cpu import CpuPool
 from repro.sim import Simulator, StreamRegistry
-from repro.sim.resources import Resource, compound_cancel, held_chain
+from repro.sim.resources import Resource
 
 
 @pytest.fixture
@@ -63,20 +63,6 @@ class TestConsume:
             pytest.approx(0.02),
         ]
 
-    def test_exponential_consume_mean(self, sim):
-        pool = make_pool(sim, cpus=1000, mips=10.0)
-        done = []
-
-        def proc():
-            yield from pool.consume_exp(10_000)
-            done.append(sim.now)
-
-        for _ in range(800):
-            sim.process(proc())
-        sim.run()
-        mean = sum(done) / len(done)
-        assert mean == pytest.approx(0.001, rel=0.15)
-
     def test_instruction_accounting(self, sim):
         pool = make_pool(sim)
 
@@ -97,13 +83,8 @@ class TestCompoundHold:
 
         def holder():
             # 1ms of CPU, then a 5ms synchronous device access with the
-            # CPU still held (the shared-store access shape).
-            done = held_chain(pool.resource, device, pool.service_time(10_000), 0.005)
-            try:
-                yield done
-            except BaseException:
-                compound_cancel(done)
-                raise
+            # CPU still held.
+            yield from pool.synchronous(device, 10_000, 0.005)
             log.append(("holder", sim.now))
 
         def other():
@@ -116,6 +97,7 @@ class TestCompoundHold:
         # The holder keeps the only CPU for 6ms; other runs after.
         assert log[0] == ("holder", pytest.approx(0.006))
         assert log[1] == ("other", pytest.approx(0.007))
+        assert pool.instructions_executed == 20_000
 
     def test_utilization(self, sim):
         pool = make_pool(sim, cpus=2, mips=10.0)
