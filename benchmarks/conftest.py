@@ -4,8 +4,8 @@ Each benchmark regenerates one table/figure of the paper at a reduced
 scale (fewer node counts, shorter measurement windows) so the whole
 suite stays runnable in minutes, prints the paper-shaped rows, and
 asserts the figure's qualitative shape.  For paper-sized runs use the
-experiment drivers directly (``python -m repro.experiments.fig41``)
-with ``Scale.full()``.
+experiment drivers directly (``python -m repro experiments fig41
+--scale full``).
 """
 
 import os

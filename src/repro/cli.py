@@ -198,9 +198,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
         with _make_runner(args) as runner:
             anchor = table41.run(scale, runner=runner)
-        print(anchor.summary())
-        for check, ok in table41.validate(anchor).items():
-            print(f"  {'PASS' if ok else 'FAIL'}  {check}")
+        print(table41.report(anchor))
         return 0
     if args.figure not in modules:
         print(f"unknown figure {args.figure!r}", file=sys.stderr)
@@ -264,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser = sub.add_parser("experiments", help="regenerate tables/figures")
     exp_parser.add_argument(
         "figure",
-        help="table41, fig41..fig47, fig_failover, fig_shootout, "
-             "fig_regimes, or 'all'",
+        help="table41, fig41..fig47, fig_failover, fig_regimes, or 'all'",
     )
     exp_parser.add_argument(
         "--scale", choices=["quick", "smoke", "full"], default="quick"
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=["2pl", "mvcc", "dgcc"], default=None,
         help="concurrency-control protocol for figure drivers that "
              "accept one (fig41, fig45, fig47, fig_failover; "
-             "fig_shootout/fig_regimes restrict their protocol grid)",
+             "fig_regimes restricts its protocol grid)",
     )
     exp_parser.add_argument("--outdir", default="results")
     _add_parallel_arguments(exp_parser)

@@ -56,15 +56,3 @@ def run(
         "workload allocation and update strategy, GEM locking, buffer 200",
         series,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run(Scale.quick())
-    print(result.table())
-    bt_hits = {
-        s.label: [round(r.hit_ratios["BRANCH_TELLER"], 2) for _n, r in s.points]
-        for s in result.series
-    }
-    print("\nBRANCH/TELLER hit ratios:", bt_hits)
-    print()
-    print(result.breakdown_table())

@@ -40,7 +40,3 @@ def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentResult:
         "buffer size influence, random routing, GEM locking",
         series,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(Scale.quick()).table())

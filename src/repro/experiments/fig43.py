@@ -47,7 +47,3 @@ def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentResult:
         "BRANCH/TELLER allocation: disk vs GEM (buffer 1000)",
         series,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(Scale.quick()).table())

@@ -52,7 +52,3 @@ def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentResult:
         "disk caches for BRANCH/TELLER (FORCE, buffer 1000)",
         series,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(Scale.quick()).table())

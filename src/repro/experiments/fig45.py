@@ -52,14 +52,3 @@ def run(scale: Scale, buffer_sizes=(200, 1000),
         "PCL vs GEM locking response times",
         series,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run(Scale.quick())
-    print(result.table())
-    for s in result.series:
-        if s.label.startswith("pcl"):
-            shares = [round(r.local_lock_share, 2) for _n, r in s.points]
-            print(f"local lock share {s.label}: {shares}")
-    print()
-    print(result.breakdown_table())

@@ -58,7 +58,3 @@ def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentResult:
         metric_label="TPS per node",
         metric=lambda r: r.throughput_per_node,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(Scale.quick()).table())

@@ -66,14 +66,3 @@ def run(
         metric_label="artificial-txn response time [ms]",
         metric=lambda r: r.mean_response_time_artificial * 1000.0,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run(Scale.quick())
-    print(result.table())
-    for s in result.series:
-        if s.label.startswith("pcl"):
-            shares = [round(r.local_lock_share, 2) for _n, r in s.points]
-            print(f"local lock share {s.label}: {shares}")
-    print()
-    print(result.breakdown_table())

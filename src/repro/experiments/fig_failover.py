@@ -194,7 +194,3 @@ def run(
         "4 nodes, affinity/NOFORCE, 100 TPS per node",
         points,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(Scale.quick()).table())

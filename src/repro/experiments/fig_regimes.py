@@ -18,9 +18,22 @@ its pool accesses per epoch, is the least sensitive).  PCL stays the
 outlier under random-routing-like stress while matching both central
 regimes under affinity routing, exactly as in fig 4.5.
 
+The grid is also the protocol shootout: the paper evaluates strict
+two-phase locking only, and the decomposition makes the cost shift
+between the protocols visible phase by phase:
+
+* **2PL** pays lock waits (``lock_local``/``lock_global``) and, under
+  GEM, synchronous entry accesses (``gem``);
+* **MVCC** trades lock waits for validation work inside ``commit`` and
+  restart work after validation failures (aborts never hold locks);
+* **DGCC** removes conflicts entirely but pays the epoch admission
+  delay and layer barriers, both visible as ``lock_global`` waits.
+
 The response-time decomposition gains an ``rdma`` component (time spent
 issuing one-sided verbs on the acquire path); components still sum to
-the mean response time exactly.
+the mean response time exactly.  The trace rows bound the node counts
+at N <= 8, as in fig 4.7; ``python -m repro run --nodes 10 ...`` runs
+any debit-credit cell beyond that.
 """
 
 from __future__ import annotations
@@ -72,10 +85,3 @@ def run(
         "coupling regimes (GEM vs PCL vs RDMA disaggregation)",
         series,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run(Scale.quick())
-    print(result.table())
-    print()
-    print(result.breakdown_table())

@@ -1,9 +1,9 @@
 """Run every experiment and write the tables to a results directory.
 
-Usage::
+Started from the command line as::
 
-    python -m repro.experiments.run_all [quick|smoke|full] [outdir]
-        [--jobs N] [--seeds K] [--no-cache]
+    python -m repro experiments all [--scale quick|smoke|full]
+        [--outdir DIR] [--jobs N] [--seeds K] [--no-cache]
 
 ``quick`` (default) regenerates all figures in CI-sized sweeps;
 ``full`` uses paper-sized runs (substantially longer).  ``--jobs``
@@ -16,7 +16,6 @@ simulate changed points -- disable it with ``--no-cache``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -32,11 +31,9 @@ from repro.experiments import (
     fig47,
     fig_failover,
     fig_regimes,
-    fig_shootout,
     table41,
 )
 from repro.experiments.common import Scale
-from repro.system.config import SystemConfig
 from repro.system.parallel import ResultCache, SweepRunner
 
 __all__ = ["run_all"]
@@ -50,7 +47,6 @@ FIGURES = [
     ("fig46", fig46),
     ("fig47", fig47),
     ("fig_failover", fig_failover),
-    ("fig_shootout", fig_shootout),
     ("fig_regimes", fig_regimes),
 ]
 
@@ -71,18 +67,10 @@ def run_all(
     with runner:
         # Table 4.1 first: parameters and the anchor run.
         started = time.time()  # simlint: disable=DET002 -- host wall-clock progress report, not simulated time
-        lines = []
-        width = max(len(k) for k, _ in table41.parameter_rows(SystemConfig()))
-        for key, value in table41.parameter_rows(SystemConfig()):
-            lines.append(f"{key:<{width}}  {value}")
         anchor = table41.run(scale, runner=runner)
-        lines.append("")
-        lines.append(anchor.summary())
-        for check, ok in table41.validate(anchor).items():
-            lines.append(f"  {'PASS' if ok else 'FAIL'}  {check}")
         path = os.path.join(outdir, "table41.txt")
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(table41.report(anchor) + "\n")
         # simlint: disable-next=DET002 -- host wall-clock progress report, not simulated time
         print(f"table41 -> {path} ({time.time() - started:.0f}s)")
         # All figures.
@@ -105,46 +93,3 @@ def run_all(
             + (f"; {runner.cache.stats()}" if runner.cache else "")
         )
 
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="run_all", description="regenerate every table and figure"
-    )
-    parser.add_argument("scale", nargs="?", default="quick",
-                        choices=["quick", "smoke", "full"])
-    parser.add_argument("outdir", nargs="?", default="results")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes (default 1)")
-    parser.add_argument("--seeds", type=_positive_int, default=1,
-                        help="replicates per point (default 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the result cache")
-    return parser
-
-
-def main(argv) -> int:
-    # Pre-argparse interface printed its own error; keep that contract.
-    factory = {"quick": Scale.quick, "smoke": Scale.smoke, "full": Scale.full}
-    if len(argv) > 1 and argv[1] not in factory and not argv[1].startswith("-"):
-        print(f"unknown scale {argv[1]!r}; use quick|smoke|full")
-        return 2
-    args = build_parser().parse_args(argv[1:])
-    run_all(
-        factory[args.scale](),
-        args.outdir,
-        jobs=args.jobs,
-        seeds=args.seeds,
-        use_cache=not args.no_cache,
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main(sys.argv))

@@ -17,7 +17,7 @@ from repro.system.config import SystemConfig
 from repro.system.results import RunResult
 from repro.system.runner import run_simulation
 
-__all__ = ["parameter_rows", "run", "validate"]
+__all__ = ["parameter_rows", "report", "run", "validate"]
 
 
 def parameter_rows(config: SystemConfig) -> List[Tuple[str, str]]:
@@ -105,13 +105,15 @@ def validate(result: RunResult) -> Dict[str, bool]:
     }
 
 
-if __name__ == "__main__":  # pragma: no cover
-    config = SystemConfig()
-    width = max(len(k) for k, _ in parameter_rows(config))
-    for key, value in parameter_rows(config):
-        print(f"{key:<{width}}  {value}")
-    result = run(Scale.quick())
-    print()
-    print(result.summary())
-    for check, ok in validate(result).items():
-        print(f"  {'PASS' if ok else 'FAIL'}  {check}")
+def report(result: RunResult) -> str:
+    """Table 4.1 as text: the parameter rows, the anchor run's summary
+    and the PASS/FAIL line of every :func:`validate` check."""
+    rows = parameter_rows(SystemConfig())
+    width = max(len(key) for key, _value in rows)
+    lines = [f"{key:<{width}}  {value}" for key, value in rows]
+    lines += ["", result.summary()]
+    lines += [
+        f"  {'PASS' if ok else 'FAIL'}  {check}"
+        for check, ok in validate(result).items()
+    ]
+    return "\n".join(lines)

@@ -2,8 +2,11 @@
 
 import os
 
+import pytest
+
+from repro.cli import main
 from repro.experiments.common import Scale
-from repro.experiments.run_all import FIGURES, main, run_all
+from repro.experiments.run_all import FIGURES, run_all
 
 
 class TestRunAll:
@@ -26,11 +29,13 @@ class TestRunAll:
             assert "Fig 4.1" in fh.read()
 
     def test_unknown_scale_rejected(self):
-        assert main(["run_all", "bogus"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "all", "--scale", "bogus"])
+        assert excinfo.value.code == 2
 
     def test_figures_registry_complete(self):
         names = [name for name, _module in FIGURES]
         assert names == (
             [f"fig4{i}" for i in range(1, 8)]
-            + ["fig_failover", "fig_shootout", "fig_regimes"]
+            + ["fig_failover", "fig_regimes"]
         )

@@ -1,6 +1,6 @@
-"""Integration tests of the protocol-shootout experiment.
+"""Integration tests of the protocol shootout inside ``fig_regimes``.
 
-One smoke-sized run of the full grid (GEM/PCL x 2PL/MVCC/DGCC), then
+One smoke-sized run of the grid's GEM/PCL x 2PL/MVCC/DGCC rows, then
 the accounting invariant the decomposition promises: the per-phase
 breakdown columns sum exactly to the mean response time -- the
 ``other`` phase absorbs any unattributed remainder, so a protocol
@@ -11,13 +11,15 @@ import math
 
 import pytest
 
-from repro.experiments import fig_shootout
+from repro.experiments import fig_regimes
 from repro.experiments.common import Scale
 
 
 @pytest.fixture(scope="module")
 def result():
-    return fig_shootout.run(Scale.smoke())
+    return fig_regimes.run(
+        Scale.smoke(), couplings=("gem", "pcl"), include_trace=False
+    )
 
 
 class TestShootout:
