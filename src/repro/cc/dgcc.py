@@ -362,12 +362,14 @@ class DgccProtocol(CCProtocol):
         coord = faults.coordinator()
         ledger = self.cluster.ledger
         # Versions a dead committer installed in the ledger but never
-        # published to the scheduler.
+        # published to the scheduler: storage holds them after REDO and
+        # no surviving buffer does, so they have no owner.
         for txn in sorted(record.killed, key=lambda t: t.txn_id):
             for page in sorted(txn.modified):
                 committed = ledger.committed_version(page)
                 if committed > self._seqnos.get(page, 0):
                     self._seqnos[page] = committed
+                    self._owners.pop(page, None)
         # Ownership entries pointing at the dead buffer are void; lost
         # pages keep readers fenced until REDO restores them.
         for page in sorted(p for p, o in self._owners.items() if o == record.node):

@@ -286,8 +286,7 @@ class StoreLockingProtocol(CCProtocol):
                 yield from coord_node.cpu.consume(
                     faults.config.recovery_instructions_per_lock
                 )
-                entry = self.glt.entry(page)
-                entry.seqno = max(entry.seqno, ledger.committed_version(page))
+                self.glt.entry(page).catch_up(ledger.committed_version(page))
                 granted = self.glt.release(txn.txn_id, page)
                 if granted:
                     yield from store.reread(coord, len(granted))

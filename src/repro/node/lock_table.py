@@ -67,6 +67,15 @@ class LockEntry:
         #: Nodes holding a read authorization (PCL read optimization).
         self.auth_nodes: Set[int] = set()
 
+    def catch_up(self, committed: int) -> None:
+        """Crash reclaim: raise the entry to ``committed``, a version a
+        dead transaction installed in the ledger but never published
+        here.  Storage holds that version after REDO and no surviving
+        buffer does, so the entry names no owner."""
+        if committed > self.seqno:
+            self.seqno = committed
+            self.owner = None
+
 
 class LockTable:
     """Lock entries for a set of pages."""
