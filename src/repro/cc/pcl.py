@@ -411,9 +411,7 @@ class PrimaryCopyProtocol(CCProtocol):
             home = self.gla_map(page)
             host = hosts[home]
             if host == txn.node:
-                self._apply_release(txn.txn_id, page, new_version, home)
-                held.pop(page, None)
-                txn.auth_read_pages.discard(page)
+                self._release_here(txn, page, new_version, home)
             elif page in txn.auth_read_pages:
                 # Covered by a read authorization: release locally, no
                 # message to the GLA.
@@ -425,6 +423,17 @@ class PrimaryCopyProtocol(CCProtocol):
             else:
                 remote_groups.setdefault((host, home), []).append((page, new_version))
         for (host, home), pages in remote_groups.items():
+            if self.store.is_down(host):
+                # The host crashed since resolution.  Carrying to it
+                # would mark the pages clean and send them to a dead
+                # node after the crash-time orphan scan saw them dirty
+                # here, so nothing would write or REDO them: wait for
+                # the partition's new host instead.
+                host = yield from self.store.resolve(txn.node, home)
+                if host == txn.node:
+                    for page, new_version in pages:
+                        self._release_here(txn, page, new_version, home)
+                    continue
             carried = self.store.carry(node, pages)
             release: ReleasePayload = {
                 "txn_id": txn.txn_id,
@@ -437,6 +446,15 @@ class PrimaryCopyProtocol(CCProtocol):
             for page, _version in pages:
                 held.pop(page, None)
                 txn.auth_read_pages.discard(page)
+
+    def _release_here(
+        self, txn: Transaction, page: PageId, new_version: Optional[int], home: int
+    ) -> None:
+        """Release one lock at this node, the partition's host; a
+        modified page stays in its buffer, owned by the GLA."""
+        self._apply_release(txn.txn_id, page, new_version, home)
+        txn.held_locks.pop(page, None)
+        txn.auth_read_pages.discard(page)
 
     def _apply_release(
         self, txn_id: int, page: PageId, new_version: Optional[int], home: int
