@@ -102,6 +102,11 @@ class CommSubsystem:
         yield from dst_node.cpu.consume(
             dst_comm.instr_long if message.long else dst_comm.instr_short
         )
+        if faults is not None and faults.is_down(message.dst):
+            # The receiver crashed while taking the message in: it dies
+            # with the node.  A crashed sender no longer matters here,
+            # the message was already received.
+            return
         if message.reply_event is not None:
             if faults is not None and message.reply_event.triggered:
                 # A crash sentinel already answered this request; drop

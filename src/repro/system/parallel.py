@@ -52,7 +52,7 @@ __all__ = [
 #: Version tag of the simulation semantics.  Bump whenever a change
 #: alters what a given ``(config, seed)`` simulates, so stale cache
 #: entries are never reused across semantic changes.
-CODE_VERSION = "2026.10-5"
+CODE_VERSION = "2026.10-6"
 
 #: Default location of the result cache, relative to the working
 #: directory (see results/README.md for the layout).

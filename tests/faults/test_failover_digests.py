@@ -30,7 +30,7 @@ from repro.system.runner import run_simulation
 
 #: cell -> SHA-256 of the run's deterministic result (sorted-key JSON).
 DIGESTS = {
-    "pcl-2pl-readopt": "7d82344b9ac8ae41faf2bacf4a797d6045692a132555d04dceebcfbe92b7e22c",
+    "pcl-2pl-readopt": "970b9dd82db5a81af0d3426ff4baceeab81d1ff0e7c2fd11dc7b2e8e89728459",
     "pcl-mvcc": "9d89bb18494d646aab8f695e27e5a25179d68dd615289d4a28262a55d9bb7ef0",
     "pcl-dgcc": "ffd8fe389fa6053ea7b47c4ea3f13542884cbdca347d75d44376df3369dff081",
 }

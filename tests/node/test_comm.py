@@ -88,6 +88,38 @@ class TestSend:
         assert receiver_cpu.instructions_executed >= before + 5000
 
 
+class TestDeliveryToCrashedNode:
+    def test_destination_crash_during_receiver_cpu_runs_no_handler(self):
+        # The only scripted crash lies past the test's horizon; the
+        # test crashes node 1 itself inside the receiver-CPU window.
+        cluster = make_cluster(
+            faults={"crashes": [{"node": 1, "time": 1e6, "down_time": 1.0}]}
+        )
+        receiver = cluster.nodes[1]
+        received = []
+
+        def handler(node, payload):
+            received.append(node.node_id)
+            return
+            yield  # pragma: no cover
+
+        receiver.register_handler("custom", handler)
+        sender = cluster.nodes[0]
+        before = receiver.cpu.instructions_executed
+
+        def proc():
+            yield from sender.comm.send(1, "custom", {})
+            # Transmission done, the receiver's CPU has begun the message.
+            while receiver.cpu.instructions_executed == before:
+                yield cluster.sim.timeout(1e-6)
+            cluster.faults._crash(1)
+            yield cluster.sim.timeout(0.01)
+
+        drive(cluster, proc())
+        assert received == []
+        assert receiver.mailbox.puts == 0
+
+
 class TestDispatch:
     def test_mailbox_message_dispatched_to_handler(self):
         cluster = make_cluster()
