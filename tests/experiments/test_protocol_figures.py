@@ -1,7 +1,7 @@
 """The figure drivers honour their ``protocol`` parameter.
 
 fig 4.1, fig 4.5 and fig 4.7 historically hard-wired strict 2PL; each
-now accepts ``protocol=...`` like the shootout does.  Passing a flag
+now accepts ``protocol=...`` like ``fig_regimes`` does.  Passing a flag
 that silently falls back to 2PL would be worse than not having it, so
 every driver is run once with a non-default protocol through a probing
 runner that simulates in-process and keeps the protocol object of each
