@@ -245,7 +245,7 @@ class DgccProtocol(CCProtocol):
         if host == node_id:
             self.local_lock_requests += 1
             txn.local_lock_requests += 1
-            yield from self.store.process(node_id, 2, txn_id)
+            yield from self.store.access(node_id, 2, txn_id)
         else:
             self.remote_lock_requests += 1
             txn.remote_lock_requests += 1
@@ -292,7 +292,7 @@ class DgccProtocol(CCProtocol):
         # or one short completion message to the scheduler (PCL).
         host = self.store.central(node_id)
         if host == node_id:
-            yield from self.store.process(node_id, 1 + len(modified))
+            yield from self.store.access(node_id, 1 + len(modified))
         else:
             done: DgccDonePayload = {"txn_id": txn_id, "committed": True}
             yield from self.cluster.nodes[node_id].comm.send(host, "dgcc_done", done)

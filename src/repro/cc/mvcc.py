@@ -147,7 +147,7 @@ class MvccProtocol(CCProtocol):
         while True:
             authority = self.store.central(node_id)
             if authority == node_id:
-                yield from self.store.process(node_id, 1, txn_id)
+                yield from self.store.access(node_id, 1, txn_id)
                 return self._alloc_ts(txn_id, commit)
             reply = self.sim.event()
             request: TimestampRequestPayload = {
@@ -197,7 +197,7 @@ class MvccProtocol(CCProtocol):
                 # write also writes the reservation back).
                 self.local_lock_requests += 1
                 txn.local_lock_requests += 1
-                yield from store.process(node_id, 2 if write else 1, txn_id)
+                yield from store.access(node_id, 2 if write else 1, txn_id)
                 entry = self.tables[home].entry(page)
                 if write and (
                     self._doomed(txn, page, entry.seqno)
@@ -407,7 +407,7 @@ class MvccProtocol(CCProtocol):
         for home, pages in sorted(homes.items()):
             host = yield from self.store.resolve(node_id, home)
             if host == node_id:
-                yield from self.store.process(node_id, len(pages), txn.txn_id)
+                yield from self.store.access(node_id, len(pages), txn.txn_id)
                 continue
             reply = self.sim.event()
             request: MvccValidatePayload = {

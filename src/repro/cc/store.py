@@ -85,10 +85,10 @@ class PageOwners:
 
     * :meth:`resolve` names the host serving a request for partition
       :meth:`home` of a page; a request whose host is the requesting
-      node costs :meth:`process`, any other is a :meth:`call` to the
-      host.  :meth:`central` names the host of the cluster-wide state.
-    * :meth:`access` is a plain entry access; :meth:`publish` makes a
-      central update visible to every node.
+      node costs :meth:`access` (plain entry accesses), any other is a
+      :meth:`call` to the host.  :meth:`central` names the host of the
+      cluster-wide state.
+    * :meth:`publish` makes a central update visible to every node.
     * :meth:`fence`, :meth:`failover` and :meth:`reintegrate` are the
       substrate's part of a node crash and restart.
 
@@ -134,14 +134,9 @@ class PageOwners:
     def access(
         self, node_id: int, count: int, txn_id: Optional[int] = None
     ) -> Iterator[Event]:
-        """``count`` plain entry accesses (install, clean-up, re-check)."""
+        """``count`` plain entry accesses: a request served at the
+        requester's own host, an install, a clean-up or a re-check."""
         raise NotImplementedError
-
-    def process(
-        self, node_id: int, count: int, txn_id: Optional[int] = None
-    ) -> Iterator[Event]:
-        """Process ``count`` entry operations at this node's own host."""
-        return self.access(node_id, count, txn_id)
 
     def owner(self, node_id: int) -> Optional[int]:
         """The page owner a directory entry records for a page that
