@@ -1,18 +1,18 @@
-"""Committed performance trajectory of the simulation engine.
+"""Committed performance trajectory of the simulator.
 
-``driver`` measures raw engine throughput (events/second, wall-clock,
-peak RSS) on a fixed fig 4.6-style workload at 8-, 64- and 256-node
-scales and writes a ``BENCH_<date>.json`` snapshot; ``compare`` checks
-a fresh snapshot against a committed one and flags regressions.
+``driver`` measures every perfbench workload in checked, fresh-process
+repetitions and writes a ``BENCH_<date>.json`` snapshot; ``compare``
+gates a fresh snapshot against the newest committed one and renders
+the trend.  See EXPERIMENTS.md, "Performance trajectory".
 
-The committed snapshots at the repository root form the perf
-trajectory: every PR that touches the hot paths regenerates a snapshot
-on the same machine and compares against the last one, so speedups and
-regressions are visible in review rather than discovered months later.
-
-Machine caveat: absolute events/sec are only comparable between
-snapshots taken on the same machine under similar load.  Cross-machine
-comparisons (e.g. CI) must use a wide tolerance and treat the result
-as a smoke check, not a measurement; see EXPERIMENTS.md for the
-methodology.
+The package puts ``perfbench/`` on ``sys.path`` so that both modules
+import its code unedited: the trajectory measures the benchmark's
+cells the way the benchmark does.
 """
+
+import sys
+from pathlib import Path
+
+PERFBENCH_DIR = str(Path(__file__).resolve().parents[2] / "perfbench")
+if PERFBENCH_DIR not in sys.path:
+    sys.path.insert(0, PERFBENCH_DIR)

@@ -1,223 +1,174 @@
-"""Compare perf snapshots: regression check and trajectory trend.
+"""Compare perf snapshots: regression gates and trajectory trend.
 
 Usage::
 
     PYTHONPATH=src:. python -m benchmarks.perf.compare \
-        /tmp/bench_now.json --baseline BENCH_2026-08-08.json
+        /tmp/bench_now.json [--baseline PATH | --baseline-dir DIR]
 
     PYTHONPATH=src:. python -m benchmarks.perf.compare --trend
 
-Exit status 1 when any common scale regressed by more than the
-tolerance, 0 otherwise.  A missing baseline is not an error: the first
-snapshot of a repository has nothing to compare against, and CI must
-not fail on that.
-
-The default tolerance is deliberately wide (15%): wall-clock noise on
-shared machines routinely reaches that level even with best-of-N
-timing.  A regression this check flags is therefore a real one; small
-regressions must be caught by regenerating the committed snapshot on
-the reference machine instead (see EXPERIMENTS.md).
-
-Snapshots record the engine's ``code_version``.  When an optimization
-changes the simulated event sequence (a *re-anchor*, see
-EXPERIMENTS.md), events/sec is no longer comparable across the bump:
-the comparison refuses to cross code versions unless the newer
-snapshot carries a ``baseline`` block documenting the re-anchor with
-same-machine A/B wall-clock evidence, in which case the per-scale
-events/sec check is skipped in its favour.
-
-``--trend`` renders the whole committed trajectory (every
-``BENCH_*.json``) as one table -- date, code version, baseline commit,
-events/sec per scale -- with re-anchor boundaries marked.
+Every workload in both snapshots passes two gates.  Counters, tight:
+within one ``code_version`` the window's events, committed, txns,
+events/txn and cell digests must be equal.  Host time, loose: baseline
+``host_us_per_txn`` over current must stay at or above ``1 -
+--tolerance``.  Across a ``code_version`` bump the newer snapshot must
+document the re-anchor in a ``baseline`` block (EXPERIMENTS.md); then
+only the time gate runs.  Exit status 1 when a gate fails.  Schema-1
+snapshots (the retired fig 4.6 run loop's raw wall clock) are frozen
+history that the baseline search and ``--trend`` skip.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = [
-    "SnapshotFormatError",
-    "compare_snapshots",
-    "crosses_reanchor",
-    "find_latest_snapshot",
-    "load_snapshot",
-    "trend_rows",
-    "trend_table",
-    "validate_snapshot",
-]
+from workloads import CELLS  # perfbench/workloads.py, via benchmarks.perf
 
-_REQUIRED_TOP = ("schema", "date", "workload", "scales")
-_REQUIRED_SCALE = (
-    "num_nodes",
-    "events_processed",
-    "wall_clock_s",
-    "events_per_sec",
-    "peak_rss_kb",
-)
+SCHEMA_VERSION = 2
+
+#: Row fields gated exactly within one code version.
+COUNTERS = ("events", "committed", "txns", "events_per_txn", "digests")
+
+_REQUIRED_TOP = ("schema", "date", "code_version", "workloads")
+_REQUIRED_ROW = ("host_us_per_txn", "run_s", "setup_s", "peak_rss_mb", *COUNTERS)
+_POSITIVE = ("host_us_per_txn", "events", "committed", "txns", "events_per_txn")
+
+Snapshot = Dict[str, Any]
 
 
 class SnapshotFormatError(ValueError):
     """A snapshot file does not match the BENCH schema."""
 
 
-def validate_snapshot(data: Dict[str, Any]) -> None:
+def validate_snapshot(data: Snapshot) -> None:
     """Raise :class:`SnapshotFormatError` unless ``data`` is a valid snapshot."""
     for key in _REQUIRED_TOP:
         if key not in data:
             raise SnapshotFormatError(f"missing top-level key {key!r}")
-    if data["schema"] != 1:
+    if data["schema"] != SCHEMA_VERSION:
         raise SnapshotFormatError(f"unsupported schema version {data['schema']!r}")
     date = data["date"]
-    if (
-        not isinstance(date, str)
-        or len(date) != 10
-        or date[4] != "-"
-        or date[7] != "-"
-        or not (date[:4] + date[5:7] + date[8:]).isdigit()
-    ):
+    if not (isinstance(date, str) and re.fullmatch(r"\d{4}-\d{2}-\d{2}", date)):
         raise SnapshotFormatError(f"date {date!r} is not YYYY-MM-DD")
-    scales = data["scales"]
-    if not isinstance(scales, dict) or not scales:
-        raise SnapshotFormatError("scales must be a non-empty object")
-    for name, entry in scales.items():
-        if not name.isdigit():
-            raise SnapshotFormatError(f"scale key {name!r} is not a node count")
-        for key in _REQUIRED_SCALE:
-            if key not in entry:
-                raise SnapshotFormatError(f"scale {name}: missing {key!r}")
-        if entry["num_nodes"] != int(name):
-            raise SnapshotFormatError(f"scale {name}: num_nodes mismatch")
-        if entry["events_processed"] <= 0:
-            raise SnapshotFormatError(f"scale {name}: events_processed must be > 0")
-        if entry["wall_clock_s"] <= 0 or entry["events_per_sec"] <= 0:
-            raise SnapshotFormatError(f"scale {name}: timings must be positive")
+    if not isinstance(data["workloads"], dict) or not data["workloads"]:
+        raise SnapshotFormatError("workloads must be a non-empty object")
+    for name, row in data["workloads"].items():
+        if name not in CELLS:
+            raise SnapshotFormatError(f"{name!r} is not a perfbench workload")
+        for key in _REQUIRED_ROW:
+            if key not in row:
+                raise SnapshotFormatError(f"workload {name}: missing {key!r}")
+        cells = sorted(cell.name for cell in CELLS[name])
+        if sorted(row["digests"]) != cells:
+            raise SnapshotFormatError(f"{name}: digests are not its cells {cells}")
+        for key in _POSITIVE:
+            if not row[key] > 0:
+                raise SnapshotFormatError(f"workload {name}: {key} must be > 0")
 
 
-def load_snapshot(path: Path) -> Dict[str, Any]:
+def load_snapshot(path: Path) -> Snapshot:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     validate_snapshot(data)
     return data
 
 
+def snapshot_paths(directory: Path) -> List[Path]:
+    """The schema-2 ``BENCH_*.json`` files in ``directory``, oldest first
+    (names embed an ISO date, so lexical order is date order)."""
+    return [
+        path
+        for path in sorted(directory.glob("BENCH_*.json"))
+        if json.loads(path.read_text(encoding="utf-8")).get("schema")
+        == SCHEMA_VERSION
+    ]
+
+
 def find_latest_snapshot(directory: Path) -> Optional[Path]:
-    """The lexically newest ``BENCH_*.json`` in ``directory``, if any.
-
-    Snapshot names embed an ISO date, so lexical order is date order.
-    """
-    candidates = sorted(directory.glob("BENCH_*.json"))
-    return candidates[-1] if candidates else None
+    """The newest schema-2 ``BENCH_*.json`` in ``directory``, if any."""
+    paths = snapshot_paths(directory)
+    return paths[-1] if paths else None
 
 
-def crosses_reanchor(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> bool:
-    """True when the two snapshots were taken on different engine anchors.
-
-    ``code_version`` is bumped whenever an optimization changes the
-    simulated event sequence; snapshots predating the field count as
-    their own (unknown) anchor.  Events/sec must not be compared across
-    anchors -- the event totals differ by construction.
-    """
+def crosses_reanchor(current: Snapshot, baseline: Snapshot) -> bool:
+    """True when the snapshots were taken on different engine anchors:
+    ``code_version`` is bumped whenever a change alters the simulated
+    event sequence, so the counters must not be compared across it."""
     return current.get("code_version") != baseline.get("code_version")
 
 
-def trend_rows(snapshots: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+def trend_rows(snapshots: Sequence[Snapshot]) -> List[Dict[str, Any]]:
     """One trend row per snapshot, in the given (chronological) order.
 
-    Each row carries the snapshot date, engine ``code_version``, the
-    baseline commit it was anchored against (when recorded), the
-    per-scale events/sec, and ``reanchored`` -- True when the snapshot
-    starts a new code-version anchor, i.e. its events/sec must not be
-    read as a ratio against the previous row.
+    ``reanchored`` is True when a snapshot starts a new code-version
+    anchor, i.e. its counters must not be read against the previous row.
     """
     rows: List[Dict[str, Any]] = []
-    previous_version: Optional[str] = None
-    for index, snap in enumerate(snapshots):
-        baseline = snap.get("baseline") or {}
-        version = snap.get("code_version")
-        rows.append(
-            {
-                "date": snap["date"],
-                "label": snap.get("label", ""),
-                "code_version": version,
-                "baseline_commit": baseline.get("commit"),
-                "events_per_sec": {
-                    name: entry["events_per_sec"]
-                    for name, entry in snap["scales"].items()
-                },
-                "reanchored": index > 0 and version != previous_version,
-            }
-        )
-        previous_version = version
+    for snap in snapshots:
+        rows.append({
+            "date": snap["date"],
+            "code_version": snap["code_version"],
+            "baseline_commit": snap.get("baseline", {}).get("commit"),
+            "workloads": {
+                name: (row["host_us_per_txn"], row["events_per_txn"])
+                for name, row in snap["workloads"].items()
+            },
+            "reanchored": bool(rows) and crosses_reanchor(snap, rows[-1]),
+        })
     return rows
 
 
-def trend_table(snapshots: Sequence[Dict[str, Any]]) -> str:
+def trend_table(snapshots: Sequence[Snapshot]) -> str:
     """The committed perf trajectory as a fixed-width text table."""
-    rows = trend_rows(snapshots)
-    scale_names = sorted(
-        {name for row in rows for name in row["events_per_sec"]}, key=int
-    )
-    header = (
-        f"{'date':<12}{'code version':<14}{'base commit':<13}"
-        + "".join(f"{name + ' nodes':>14}" for name in scale_names)
+    line = "{:<12}{:<14}{:<13}{:<17}{:>9}{:>12}".format
+    header = line(
+        "date", "code version", "base commit", "workload", "us/txn", "events/txn"
     )
     lines = [header, "-" * len(header)]
-    for row in rows:
+    for row in trend_rows(snapshots):
         if row["reanchored"]:
             lines.append(
-                f"-- re-anchor: code version {row['code_version'] or '?'} "
-                "(events/sec not comparable across this line) --"
+                f"-- re-anchor: code version {row['code_version']} "
+                "(counters not comparable across this line) --"
             )
-        cells = "".join(
-            f"{row['events_per_sec'][name]:>14,.0f}"
-            if name in row["events_per_sec"]
-            else f"{'-':>14}"
-            for name in scale_names
-        )
-        lines.append(
-            f"{row['date']:<12}{row['code_version'] or '-':<14}"
-            f"{row['baseline_commit'] or '-':<13}{cells}"
-        )
+        for name, (us_per_txn, events_per_txn) in row["workloads"].items():
+            lines.append(line(
+                row["date"], row["code_version"], row["baseline_commit"] or "-",
+                name, f"{us_per_txn:.1f}", f"{events_per_txn:.2f}",
+            ))
     return "\n".join(lines)
 
 
 def compare_snapshots(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: float = 0.15,
+    current: Snapshot, baseline: Snapshot, tolerance: float = 0.15
 ) -> List[Dict[str, Any]]:
-    """Per-scale comparison rows; ``regressed`` set where it matters.
+    """Per-workload comparison rows, for workloads in both snapshots.
 
-    Scales present in only one snapshot are skipped: a snapshot taken
-    with ``--scales 8`` must still be comparable against a full one.
+    ``ratio`` is the speed ratio (above 1: the current snapshot is
+    faster), ``regressed`` flags a ratio below ``1 - tolerance``, and
+    ``changed`` names the counters that differ.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError("tolerance must be in [0, 1)")
-    rows: List[Dict[str, Any]] = []
-    for name in sorted(current["scales"], key=int):
-        if name not in baseline["scales"]:
+    rows = []
+    for name, cur in current["workloads"].items():
+        base = baseline["workloads"].get(name)
+        if base is None:
             continue
-        cur = current["scales"][name]
-        base = baseline["scales"][name]
-        ratio = cur["events_per_sec"] / base["events_per_sec"]
-        rows.append(
-            {
-                "scale": int(name),
-                "current_events_per_sec": cur["events_per_sec"],
-                "baseline_events_per_sec": base["events_per_sec"],
-                "ratio": ratio,
-                "regressed": ratio < 1.0 - tolerance,
-                "same_events": (
-                    cur["events_processed"] == base["events_processed"]
-                ),
-            }
-        )
+        ratio = base["host_us_per_txn"] / cur["host_us_per_txn"]
+        rows.append({
+            "workload": name,
+            "current_us_per_txn": cur["host_us_per_txn"],
+            "baseline_us_per_txn": base["host_us_per_txn"],
+            "ratio": ratio,
+            "regressed": ratio < 1.0 - tolerance,
+            "changed": [key for key in COUNTERS if cur[key] != base[key]],
+        })
     return rows
 
 
@@ -238,79 +189,63 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.15)
     parser.add_argument(
         "--trend", action="store_true",
-        help="print the committed perf trajectory (all BENCH_*.json in "
-             "--baseline-dir, plus the current snapshot if given) as a "
+        help="print every schema-2 BENCH_*.json in --baseline-dir as one "
              "trend table instead of comparing",
     )
     args = parser.parse_args(argv)
-
+    if args.trend and args.current is not None:
+        parser.error("--trend lists the committed snapshots; give no current one")
     if args.trend:
-        paths = sorted(args.baseline_dir.glob("BENCH_*.json"))
-        if args.current is not None and args.current.resolve() not in (
-            p.resolve() for p in paths
-        ):
-            paths.append(args.current)
-        if not paths:
-            print("no BENCH_*.json snapshots found", file=sys.stderr)
-            return 0
-        print(trend_table([load_snapshot(path) for path in paths]))
+        paths = snapshot_paths(args.baseline_dir)
+        if paths:
+            print(trend_table([load_snapshot(path) for path in paths]))
+        else:
+            print("no schema-2 BENCH_*.json snapshots found", file=sys.stderr)
         return 0
     if args.current is None:
         parser.error("a current snapshot is required unless --trend is given")
 
     current = load_snapshot(args.current)
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = find_latest_snapshot(args.baseline_dir)
-        if baseline_path is not None and baseline_path.resolve() == (
-            args.current.resolve()
-        ):
-            # Comparing the first committed snapshot against itself
-            # would always "pass"; treat it as no baseline instead.
-            baseline_path = None
-    if baseline_path is None:
+    baseline_path = args.baseline or find_latest_snapshot(args.baseline_dir)
+    # The first committed snapshot compared against itself would always
+    # "pass"; treat it as no baseline instead.
+    if baseline_path is None or baseline_path.resolve() == args.current.resolve():
         print("no baseline snapshot found; nothing to compare", file=sys.stderr)
         return 0
     baseline = load_snapshot(baseline_path)
 
-    if crosses_reanchor(current, baseline):
-        cur_version = current.get("code_version")
-        base_version = baseline.get("code_version")
-        if current.get("baseline"):
+    reanchor = crosses_reanchor(current, baseline)
+    if reanchor:
+        versions = f"{baseline['code_version']!r} -> {current['code_version']!r}"
+        if not current.get("baseline"):
             print(
-                f"re-anchor: code version {base_version!r} -> {cur_version!r}; "
-                "events/sec is not comparable across the bump.  The current "
-                "snapshot documents the re-anchor in its 'baseline' block "
-                "(same-machine A/B wall clock); skipping the per-scale check.",
+                f"ERROR: snapshots span a re-anchor (code version {versions}) "
+                "and the current snapshot has no 'baseline' block recording "
+                "the A/B evidence (EXPERIMENTS.md, 'Re-anchoring the "
+                "trajectory').",
                 file=sys.stderr,
             )
-            return 0
+            return 1
         print(
-            f"ERROR: snapshots span a re-anchor (code version {base_version!r} "
-            f"vs {cur_version!r}) and the current snapshot has no 'baseline' "
-            "block.  The event sequence changed, so events/sec ratios are "
-            "meaningless here: re-measure with interleaved A/B wall clock on "
-            "one machine and record it in the snapshot's 'baseline' block "
-            "(see EXPERIMENTS.md, 're-anchoring the trajectory').",
+            f"re-anchor: code version {versions}, documented in the 'baseline' "
+            "block; skipping the counter check, the time check still runs.",
             file=sys.stderr,
         )
-        return 1
 
     rows = compare_snapshots(current, baseline, tolerance=args.tolerance)
     if not rows:
-        print("no common scales between snapshots", file=sys.stderr)
-        return 0
-    regressed = False
+        print("no common workloads between snapshots", file=sys.stderr)
+    failed = False
     for row in rows:
-        verdict = "REGRESSED" if row["regressed"] else "ok"
-        regressed = regressed or row["regressed"]
-        drift = "" if row["same_events"] else "  [event count changed!]"
+        changed = [] if reanchor else row["changed"]
+        failed = failed or row["regressed"] or bool(changed)
         print(
-            f"{row['scale']:4d} nodes: {row['current_events_per_sec']:>12,.0f} ev/s"
-            f" vs {row['baseline_events_per_sec']:>12,.0f} ev/s"
-            f"  ({row['ratio']:.2f}x)  {verdict}{drift}"
+            f"{row['workload']:<16} {row['current_us_per_txn']:>9.1f} us/txn"
+            f" vs {row['baseline_us_per_txn']:>9.1f} us/txn"
+            f"  ({row['ratio']:.2f}x)  {'REGRESSED' if row['regressed'] else 'ok'}"
+            + (f"  COUNTERS CHANGED: {', '.join(changed)}" if changed else "")
         )
-    return 1 if regressed else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -1,16 +1,16 @@
-"""Perf snapshot driver: measure engine throughput, emit BENCH JSON.
+"""Perf snapshot driver: perfbench's steady cells as BENCH trajectory rows.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src:. python -m benchmarks.perf.driver \
         --out BENCH_$(date +%F).json --date $(date +%F)
 
-The workload is the fig 4.6 operating point (GEM locking, affinity
-routing, NOFORCE, buffer 1000, arrival rate near 80% CPU utilization)
-run open-loop at a fixed arrival rate, so every snapshot simulates the
-identical event sequence per scale and wall-clock differences are pure
-engine speed.  Scales and windows are pinned here -- do not vary them
-between snapshots, or the numbers stop being comparable.
+Each perfbench workload runs ``--repeats`` times in fresh processes
+through ``perfbench/run.py``, and every repetition is checked: the
+steadiness gate, the model checks, reproducible cell digests.  A row
+holds the medians of perfbench's end-to-end metrics and the window's
+deterministic counters.  If any check fails nothing is written and the
+exit status is 1, so the trajectory never records an unsteady row.
 """
 
 from __future__ import annotations
@@ -18,125 +18,48 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import resource
+import statistics
 import sys
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-from benchmarks.timing import time_best
-from repro.system.config import SystemConfig
+from benchmarks.perf.compare import SCHEMA_VERSION
 from repro.system.parallel import CODE_VERSION
-from repro.system.runner import run_simulation
 
-__all__ = ["SCALES", "SCHEMA_VERSION", "fig46_workload", "measure_scale", "snapshot"]
+# perfbench/run.py and perfbench/workloads.py, on sys.path via benchmarks.perf
+import run as perfbench
+from workloads import CELLS
 
-SCHEMA_VERSION = 1
+#: The workload seed of every trajectory row (perfbench's default).
+SEED = 42
 
-#: Per-scale (warmup_time, measure_time) in simulated seconds.  Windows
-#: shrink with node count so a snapshot finishes in about a minute; the
-#: event totals per scale stay fixed across snapshots regardless.
-SCALES: Dict[int, Tuple[float, float]] = {
-    8: (0.5, 1.5),
-    64: (0.25, 0.75),
-    256: (0.1, 0.3),
-}
-
-#: The workload's fixed parameters (fig 4.6 operating point).
-WORKLOAD: Dict[str, Any] = {
-    "experiment": "fig46-style",
-    "coupling": "gem",
-    "routing": "affinity",
-    "update_strategy": "noforce",
-    "buffer_pages_per_node": 1000,
-    "arrival_rate_per_node": 170.0,
-    "random_seed": 42,
-}
+#: Deterministic counters summed over a repetition's cells.
+COUNTERS = ("events", "committed", "txns")
 
 
-def fig46_workload(
-    num_nodes: int, warmup_time: float, measure_time: float
-) -> SystemConfig:
-    """The pinned benchmark configuration at ``num_nodes`` nodes."""
-    return SystemConfig(
-        num_nodes=num_nodes,
-        coupling=WORKLOAD["coupling"],
-        routing=WORKLOAD["routing"],
-        update_strategy=WORKLOAD["update_strategy"],
-        buffer_pages_per_node=WORKLOAD["buffer_pages_per_node"],
-        arrival_rate_per_node=WORKLOAD["arrival_rate_per_node"],
-        warmup_time=warmup_time,
-        measure_time=measure_time,
-        random_seed=WORKLOAD["random_seed"],
-    )
+def measure_workload(workload: str, repeats: int) -> Dict[str, Any]:
+    """Run and check ``repeats`` repetitions; return the workload's row.
 
-
-def measure_scale(num_nodes: int, repeats: int = 3) -> Dict[str, Any]:
-    """Measure one scale; returns its snapshot entry."""
-    warmup_time, measure_time = SCALES[num_nodes]
-    config = fig46_workload(num_nodes, warmup_time, measure_time)
-    events = 0
-    completed = 0
-
-    def run() -> None:
-        nonlocal events, completed
-        result = run_simulation(config)
-        events = result.events_processed
-        completed = result.completed
-
-    timing = time_best(run, repeats=repeats, warmup=1)
-    return {
-        "num_nodes": num_nodes,
-        "warmup_time": warmup_time,
-        "measure_time": measure_time,
-        "repeats": repeats,
-        "events_processed": events,
-        "completed_txns": completed,
-        "events_per_txn": events / completed if completed else 0.0,
-        "wall_clock_s": timing.best,
-        "events_per_sec": events / timing.best,
-        "wall_clock_runs_s": list(timing.runs),
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    }
-
-
-def snapshot(
-    date: str,
-    scales: Sequence[int] = (8, 64, 256),
-    repeats: int = 3,
-    label: str = "",
-    baseline: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Measure all requested scales and assemble the snapshot dict.
-
-    ``date`` is supplied by the caller (shell ``date +%F``) rather than
-    read from the clock here, keeping the module itself clock-free.
+    Raises ``perfbench.BenchmarkError`` when a repetition cannot run or
+    fails a check.  A cell's outputs are fixed by the seed (the digest
+    check holds them to it), so the counters are the last repetition's.
     """
-    result: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "date": date,
-        "label": label,
-        "code_version": CODE_VERSION,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "workload": dict(WORKLOAD),
-        "scales": {},
+    digests: Dict[str, str] = {}
+    samples = []
+    for _ in range(repeats):
+        child = perfbench.run_child(workload, SEED, False, perfbench.DEADLINE_S)
+        _, failed = perfbench.check_child(child, digests)
+        if failed:
+            raise perfbench.BenchmarkError(f"{workload}: {failed} cell(s) failed")
+        samples.append(perfbench.end_to_end(child))
+    row: Dict[str, Any] = {
+        name: statistics.median(sample[name] for sample in samples)
+        for name in perfbench.E2E_UNITS
     }
-    for num_nodes in scales:
-        if num_nodes not in SCALES:
-            raise ValueError(
-                f"unknown scale {num_nodes}; pinned scales: {sorted(SCALES)}"
-            )
-        entry = measure_scale(num_nodes, repeats=repeats)
-        result["scales"][str(num_nodes)] = entry
-        print(
-            f"  {num_nodes:4d} nodes: {entry['events_processed']:>9d} events, "
-            f"{entry['events_per_txn']:.1f} events/txn, "
-            f"{entry['wall_clock_s']:.3f} s best, "
-            f"{entry['events_per_sec']:,.0f} events/s",
-            file=sys.stderr,
-        )
-    if baseline is not None:
-        result["baseline"] = baseline
-    return result
+    row.update({key: sum(cell[key] for cell in child["cells"]) for key in COUNTERS})
+    row["events_per_txn"] = row["events"] / row["txns"]
+    row["digests"] = digests
+    row["repeats"] = repeats
+    return row
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -146,15 +69,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--date", required=True, help="snapshot date, YYYY-MM-DD (use date +%%F)"
     )
     parser.add_argument(
-        "--scales", type=int, nargs="+", default=[8, 64, 256],
-        help="node counts to measure (default: 8 64 256)",
+        "--workloads", nargs="+", choices=list(CELLS), default=list(CELLS),
+        help="perfbench workloads to measure (default: all)",
     )
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--repeats", type=int, default=3,
+        help="fresh-process repetitions per workload (default: 3)",
+    )
     parser.add_argument("--label", default="", help="free-form snapshot label")
     args = parser.parse_args(argv)
-    result = snapshot(
-        args.date, scales=args.scales, repeats=args.repeats, label=args.label
-    )
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    rows = {}
+    try:
+        for workload in args.workloads:
+            row = rows[workload] = measure_workload(workload, args.repeats)
+            print(
+                f"  {workload}: {row['host_us_per_txn']:.1f} us/txn, "
+                f"{row['events_per_txn']:.2f} events/txn, {row['run_s']:.2f} s "
+                f"run, {row['setup_s']:.2f} s set-up, {row['peak_rss_mb']:.0f} MB",
+                file=sys.stderr,
+            )
+    except perfbench.BenchmarkError as exc:
+        print(f"driver: {exc}; nothing written", file=sys.stderr)
+        return 1
+    # The date comes from the caller (shell ``date +%F``), keeping this
+    # module clock-free.
+    result = {
+        "schema": SCHEMA_VERSION, "date": args.date, "label": args.label,
+        "code_version": CODE_VERSION, "python": platform.python_version(),
+        "platform": platform.platform(), "seed": SEED, "workloads": rows,
+    }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
         handle.write("\n")

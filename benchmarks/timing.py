@@ -1,16 +1,9 @@
-"""Shared wall-clock measurement helpers for the benchmark suites.
+"""Wall-clock timing helper for the benchmark suite's overhead checks.
 
-Timing noise on shared machines dominates single measurements: ambient
-load routinely moves run times by 15% or more.  Every timing consumer
-in this repository therefore follows the same discipline, centralized
-here:
-
-* warm up first (imports, allocator pools, branch caches);
-* repeat the measurement and keep the *best* run -- the minimum is the
-  estimate least contaminated by external load, because noise on a
-  busy box is strictly additive;
-* when comparing two builds, interleave their runs (A B A B ...) so
-  slow ambient drift hits both sides equally, and compare the medians.
+Ambient load on a shared machine is strictly additive noise, so the
+best of repeated runs after a warm-up is the estimate least
+contaminated by it.  Comparing two builds is perfbench's job: alternate
+parent and change runs of ``perfbench/run.py`` and compare medians.
 """
 
 from __future__ import annotations
@@ -19,7 +12,7 @@ import statistics
 import time
 from typing import Callable, List, NamedTuple, Tuple
 
-__all__ = ["TimingResult", "time_best", "time_interleaved"]
+__all__ = ["TimingResult", "time_best"]
 
 
 class TimingResult(NamedTuple):
@@ -55,34 +48,3 @@ def time_best(
         runs.append(time.perf_counter() - started)
     return TimingResult(min(runs), sum(runs) / len(runs), tuple(runs))
 
-
-def time_interleaved(
-    fn_a: Callable[[], object],
-    fn_b: Callable[[], object],
-    pairs: int = 3,
-    warmup: int = 1,
-) -> Tuple[TimingResult, TimingResult]:
-    """Time two callables in alternation (A B A B ...).
-
-    Interleaving is the honest way to compare two builds on a noisy
-    machine: ambient slowdowns span neighbouring runs, so they cancel
-    in the ratio of the two medians instead of biasing one side.
-    """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    for _ in range(warmup):
-        fn_a()
-        fn_b()
-    runs_a: List[float] = []
-    runs_b: List[float] = []
-    for _ in range(pairs):
-        started = time.perf_counter()
-        fn_a()
-        runs_a.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        fn_b()
-        runs_b.append(time.perf_counter() - started)
-    return (
-        TimingResult(min(runs_a), sum(runs_a) / len(runs_a), tuple(runs_a)),
-        TimingResult(min(runs_b), sum(runs_b) / len(runs_b), tuple(runs_b)),
-    )

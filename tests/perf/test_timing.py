@@ -2,7 +2,7 @@
 
 import pytest
 
-from benchmarks.timing import TimingResult, time_best, time_interleaved
+from benchmarks.timing import TimingResult, time_best
 
 
 class TestTimeBest:
@@ -30,27 +30,3 @@ class TestTimeBest:
         with pytest.raises(ValueError, match="warmup"):
             time_best(lambda: None, warmup=-1)
 
-
-class TestTimeInterleaved:
-    def test_alternates_a_and_b(self):
-        order = []
-        result_a, result_b = time_interleaved(
-            lambda: order.append("a"), lambda: order.append("b"),
-            pairs=3, warmup=1,
-        )
-        # One warmup pair plus three measured pairs, strictly alternating.
-        assert order == ["a", "b"] * 4
-        assert len(result_a.runs) == 3
-        assert len(result_b.runs) == 3
-
-    def test_results_are_timing_results(self):
-        result_a, result_b = time_interleaved(
-            lambda: None, lambda: None, pairs=2, warmup=0
-        )
-        for result in (result_a, result_b):
-            assert isinstance(result, TimingResult)
-            assert result.best == min(result.runs)
-
-    def test_zero_pairs_rejected(self):
-        with pytest.raises(ValueError, match="pairs"):
-            time_interleaved(lambda: None, lambda: None, pairs=0)

@@ -1,25 +1,18 @@
 """Tests for the trend table, the re-anchor guard and the golden guard.
 
-Covers the two hygiene mechanisms added with the event-count-reduction
-re-anchor: ``benchmarks.perf.compare`` must refuse to compare events/sec
-across a CODE_VERSION bump unless the newer snapshot documents the
-re-anchor, and ``scripts/check_golden_version.py`` must reject diffs
-that regenerate golden fixtures without bumping CODE_VERSION.
+``benchmarks.perf.compare`` must refuse to compare snapshots across a
+CODE_VERSION bump unless the newer snapshot documents the re-anchor,
+and ``scripts/check_golden_version.py`` must reject diffs that
+regenerate golden fixtures without bumping CODE_VERSION.
 """
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
 
-from benchmarks.perf.compare import (
-    crosses_reanchor,
-    main,
-    trend_rows,
-    trend_table,
-)
-from tests.perf.test_bench_schema import make_snapshot
+from benchmarks.perf.compare import crosses_reanchor, main, trend_rows, trend_table
+from tests.perf.test_bench_schema import make_snapshot, run_compare, write
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -29,86 +22,73 @@ _spec = importlib.util.spec_from_file_location(
 golden_guard = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_guard)
 
-
-def versioned(snapshot, code_version=None, baseline=None, date=None):
-    if code_version is not None:
-        snapshot["code_version"] = code_version
-    if baseline is not None:
-        snapshot["baseline"] = baseline
-    if date is not None:
-        snapshot["date"] = date
-    return snapshot
+DOCUMENTED = {"commit": "abc1234", "pairs": 10}
+BASE = make_snapshot()
 
 
 class TestCrossesReanchor:
     def test_same_version_does_not_cross(self):
-        a = versioned(make_snapshot(), "2026.08-4")
-        b = versioned(make_snapshot(), "2026.08-4")
-        assert not crosses_reanchor(a, b)
+        assert not crosses_reanchor(make_snapshot(), make_snapshot())
 
     def test_different_versions_cross(self):
-        a = versioned(make_snapshot(), "2026.08-4")
-        b = versioned(make_snapshot(), "2026.08-3")
-        assert crosses_reanchor(a, b)
+        assert crosses_reanchor(make_snapshot(code_version="v2"), make_snapshot())
 
     def test_missing_version_counts_as_distinct_anchor(self):
-        assert crosses_reanchor(make_snapshot(), versioned(make_snapshot(), "x"))
-        assert not crosses_reanchor(make_snapshot(), make_snapshot())
+        bare = make_snapshot()
+        del bare["code_version"]
+        assert crosses_reanchor(bare, make_snapshot())
 
 
 class TestTrend:
-    def make_trajectory(self):
-        return [
-            versioned(make_snapshot(events_per_sec=150_000.0), date="2026-06-01"),
-            versioned(
-                make_snapshot(events_per_sec=210_000.0), date="2026-07-01"
-            ),
-            versioned(
-                make_snapshot(events_per_sec=140_000.0, events=65_882),
-                code_version="2026.08-4",
-                baseline={"commit": "2ee4820", "speedup": 1.24},
-                date="2026-08-08",
-            ),
-        ]
+    TRAJECTORY = [
+        make_snapshot(date="2026-10-19"),
+        make_snapshot(host_us_per_txn=145.0, date="2026-11-01"),
+        make_snapshot(
+            host_us_per_txn=140.0, events=60_000, code_version="v2",
+            date="2026-12-01", baseline=DOCUMENTED,
+        ),
+    ]
 
     def test_rows_preserve_order_and_mark_reanchors(self):
-        rows = trend_rows(self.make_trajectory())
+        rows = trend_rows(self.TRAJECTORY)
         assert [row["date"] for row in rows] == [
-            "2026-06-01", "2026-07-01", "2026-08-08",
+            "2026-10-19", "2026-11-01", "2026-12-01",
         ]
         assert [row["reanchored"] for row in rows] == [False, False, True]
-        assert rows[2]["baseline_commit"] == "2ee4820"
-        assert rows[2]["events_per_sec"]["8"] == pytest.approx(140_000.0)
+        assert rows[2]["baseline_commit"] == "abc1234"
+        assert rows[2]["workloads"]["dc-gem-affinity"] == pytest.approx(
+            (140.0, 60_000 / 1_777)
+        )
 
     def test_first_row_is_never_a_reanchor(self):
-        rows = trend_rows([versioned(make_snapshot(), "v1")])
+        rows = trend_rows([make_snapshot()])
         assert rows == [rows[0]]
         assert not rows[0]["reanchored"]
 
     def test_table_marks_reanchor_boundary(self):
-        table = trend_table(self.make_trajectory())
-        lines = table.splitlines()
+        lines = trend_table(self.TRAJECTORY).splitlines()
         marker = [line for line in lines if line.startswith("-- re-anchor")]
         assert len(marker) == 1
         # The marker sits between the second and third data rows.
-        assert lines.index(marker[0]) > lines.index(
-            [line for line in lines if line.startswith("2026-07-01")][0]
-        )
+        assert lines.index(marker[0]) == 4
+        assert lines[3].startswith("2026-11-01")
 
     def test_table_handles_disjoint_scales(self):
-        a = versioned(make_snapshot(scales=(8,)), "v1", date="2026-06-01")
-        b = versioned(make_snapshot(scales=(8, 64)), "v1", date="2026-07-01")
+        a = make_snapshot(("dc-gem-affinity",), date="2026-10-19")
+        b = make_snapshot(("dc-gem-affinity", "trace-gem"), date="2026-11-01")
         table = trend_table([a, b])
-        assert "64 nodes" in table
-        assert "-" in table  # the missing 64-node cell in the first row
+        assert table.count("dc-gem-affinity") == 2
+        assert table.count("trace-gem") == 1
 
     def test_trend_cli_lists_all_snapshots(self, tmp_path, capsys):
-        for index, snap in enumerate(self.make_trajectory()):
-            path = tmp_path / f"BENCH_{snap['date']}.json"
-            path.write_text(json.dumps(snap))
+        for snap in self.TRAJECTORY:
+            write(tmp_path, f"BENCH_{snap['date']}.json", snap)
+        # Schema-1 history is not part of the trend.
+        write(tmp_path, "BENCH_2026-10-18.json", {"schema": 1, "date": "2026-10-18"})
         assert main(["--trend", "--baseline-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "2026-06-01" in out and "2026-08-08" in out
+        assert "2026-10-19" in out and "2026-12-01" in out
+        assert "2026-10-18" not in out
         assert "re-anchor" in out
 
     def test_trend_cli_without_snapshots_exits_zero(self, tmp_path, capsys):
@@ -116,51 +96,30 @@ class TestTrend:
 
     def test_committed_trajectory_renders(self, capsys):
         assert main(["--trend", "--baseline-dir", str(REPO_ROOT)]) == 0
-        assert "nodes" in capsys.readouterr().out
+        assert "dc-gem-affinity" in capsys.readouterr().out
 
 
 class TestReanchorGuard:
-    def write(self, tmp_path, name, snapshot):
-        path = tmp_path / name
-        path.write_text(json.dumps(snapshot))
-        return path
-
     def test_undocumented_reanchor_fails(self, tmp_path, capsys):
-        base = self.write(
-            tmp_path, "BENCH_2026-06-01.json", versioned(make_snapshot(), "v1")
-        )
-        cur = self.write(
-            tmp_path, "current.json",
-            versioned(make_snapshot(events_per_sec=120_000.0), "v2"),
-        )
-        assert main([str(cur), "--baseline", str(base)]) == 1
+        assert run_compare(tmp_path, make_snapshot(code_version="v2"), BASE) == 1
         err = capsys.readouterr().err
         assert "re-anchor" in err and "baseline" in err
 
     def test_documented_reanchor_passes(self, tmp_path, capsys):
-        base = self.write(
-            tmp_path, "BENCH_2026-06-01.json", versioned(make_snapshot(), "v1")
+        current = make_snapshot(events=60_000, code_version="v2", baseline=DOCUMENTED)
+        assert run_compare(tmp_path, current, BASE) == 0
+        assert "skipping the counter check" in capsys.readouterr().err
+
+    def test_documented_reanchor_still_checks_time(self, tmp_path, capsys):
+        current = make_snapshot(
+            host_us_per_txn=300.0, code_version="v2", baseline=DOCUMENTED
         )
-        cur = self.write(
-            tmp_path, "current.json",
-            versioned(
-                make_snapshot(events_per_sec=120_000.0), "v2",
-                baseline={"commit": "abc1234", "speedup": 1.24},
-            ),
-        )
-        assert main([str(cur), "--baseline", str(base)]) == 0
-        assert "skipping the per-scale check" in capsys.readouterr().err
+        assert run_compare(tmp_path, current, BASE) == 1
+        assert "REGRESSED" in capsys.readouterr().out
 
     def test_same_version_still_compared(self, tmp_path, capsys):
-        base = self.write(
-            tmp_path, "BENCH_2026-06-01.json", versioned(make_snapshot(), "v1")
-        )
-        cur = self.write(
-            tmp_path, "current.json",
-            versioned(make_snapshot(events_per_sec=100_000.0), "v1"),
-        )
         # Half the baseline speed at the same anchor: a real regression.
-        assert main([str(cur), "--baseline", str(base)]) == 1
+        assert run_compare(tmp_path, make_snapshot(host_us_per_txn=300.0), BASE) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
     def test_current_required_without_trend(self):
