@@ -4,6 +4,8 @@ full cluster."""
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from typing import List, Optional, Tuple
 
 from repro.db.pages import PageId, VersionLedger
@@ -15,7 +17,9 @@ from repro.node.cpu import CpuPool
 from repro.obs.recorder import NULL_RECORDER
 from repro.sim import Simulator, StreamRegistry
 from repro.system.cluster import Cluster
-from repro.system.config import DebitCreditConfig, SystemConfig
+from repro.system.config import DebitCreditConfig, SystemConfig, TraceWorkloadConfig
+from repro.workload.trace import Trace
+from repro.workload.tracegen import generate_trace
 from repro.workload.transaction import PageAccess, Transaction
 
 
@@ -197,3 +201,19 @@ def read_access(page: PageId, lockable: bool = True) -> PageAccess:
 
 def write_access(page: PageId, lockable: bool = True) -> PageAccess:
     return PageAccess(page, write=True, lockable=lockable)
+
+
+@functools.lru_cache(maxsize=None)
+def generated_trace(seed: int, scale: float) -> Tuple[Trace, float]:
+    """The synthetic trace for ``(seed, scale)`` and the generator
+    stream's next draw after it (cached: the paper-size trace is about
+    a million references)."""
+    stream = StreamRegistry(seed).stream("tracegen")
+    trace, _profiles, _sizes = generate_trace(
+        TraceWorkloadConfig(scale=scale), stream
+    )
+    return trace, stream.random()
+
+
+def sha256_of(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
