@@ -29,9 +29,10 @@ from repro.lint.findings import Finding
 
 __all__ = ["RngAnalyzer"]
 
-#: Draw methods of repro.sim.rng.Stream (and the bound expovariate).
+#: Draw methods of repro.sim.rng.Stream (and its bound draws).
 _DRAW_METHODS = {
     "random",
+    "getrandbits",
     "uniform",
     "exponential",
     "expovariate",
@@ -108,7 +109,7 @@ class RngAnalyzer(ast.NodeVisitor):
         self.module_aliases: Dict[str, str] = {}
         self.random_imports: Dict[str, str] = {}  # local name -> random member
         #: Local aliases of bound stream draw methods
-        #: (``rnd = cpu.stream._rng.random``).
+        #: (``rnd = cpu.stream.random``).
         self.draw_aliases: Dict[str, str] = {}
         #: The stream layer itself is exempt from RNG001.
         self.defines_stream_layer = any(

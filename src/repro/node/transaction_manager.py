@@ -95,7 +95,7 @@ class TransactionManager:
                 cpu_res = cpu.resource
                 cpu_hold = cpu_res.hold
                 speed = cpu.speed
-                rnd = cpu.stream._rng.random
+                rnd = cpu.stream.random
                 mean_bot = self.instr_bot
                 mean_access = self.instr_per_access
                 mean_eot = self.instr_eot

@@ -14,12 +14,11 @@ instead.)
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Dict, Tuple
 
 from repro.db.pages import PageId
-from repro.routing.routing_table import RoutingTable
-from repro.workload.trace import Trace
+from repro.routing.routing_table import RoutingTable, SegmentCounts
 
 __all__ = ["SegmentGlaMap", "build_gla_map"]
 
@@ -53,23 +52,26 @@ class SegmentGlaMap:
 
 
 def build_gla_map(
-    trace: Trace,
+    counts: SegmentCounts,
     routing_table: RoutingTable,
     num_nodes: int,
-    segment_size: int = 256,
     balance_slack: float = 1.3,
 ) -> SegmentGlaMap:
     """Assign each referenced segment to the node referencing it most.
 
-    Reference counts are taken under the given routing (each type's
-    references accrue to its routed node).  A balance cap prevents one
+    Reference counts are the trace's segment counts (the ones the
+    routing table was built from) under the given routing: each type's
+    references accrue to its routed node.  A balance cap prevents one
     node from owning a disproportionate share of the lock traffic.
     """
-    segment_refs: Dict[Segment, Counter] = defaultdict(Counter)
-    for txn in trace:
-        node = routing_table.node_for(txn.type_id)
-        for ref in txn.references:
-            segment_refs[(ref.file_id, ref.page_no // segment_size)][node] += 1
+    # Segments and, within one, nodes keyed in first-encounter order:
+    # the stable sorts below break ties by it.
+    segment_refs: Dict[Segment, Counter] = {}
+    for (type_id, segment), count in counts.counts.items():
+        per_node = segment_refs.get(segment)
+        if per_node is None:
+            per_node = segment_refs[segment] = Counter()
+        per_node[routing_table.node_for(type_id)] += count
     total_refs = sum(sum(c.values()) for c in segment_refs.values())
     cap = (total_refs / num_nodes * balance_slack) if num_nodes > 1 else float("inf")
     node_load = [0.0] * num_nodes
@@ -90,4 +92,4 @@ def build_gla_map(
             chosen = min(range(num_nodes), key=lambda n: node_load[n])
         assignment[segment] = chosen
         node_load[chosen] += weight
-    return SegmentGlaMap(assignment, segment_size, num_nodes)
+    return SegmentGlaMap(assignment, counts.segment_size, num_nodes)

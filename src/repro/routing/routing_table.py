@@ -12,18 +12,20 @@ module implements a greedy variant of that scheme:
    most, subject to a load-balance cap.
 
 The result is a :class:`RoutingTable` (type -> node) used by the
-affinity router, and the same segment statistics drive the GLA
-assignment (:mod:`repro.routing.gla`).
+affinity router, and the same segment statistics (one
+:class:`SegmentCounts`) drive the GLA assignment
+(:mod:`repro.routing.gla`).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_right
+from collections import Counter
 from typing import Dict, List, Tuple
 
-from repro.workload.trace import Trace
+from repro.workload.trace import Trace, TraceReference
 
-__all__ = ["RoutingTable", "build_routing_table", "type_segment_vectors"]
+__all__ = ["RoutingTable", "SegmentCounts", "build_routing_table"]
 
 Segment = Tuple[int, int]  # (file_id, page_no // segment_size)
 
@@ -48,36 +50,84 @@ class RoutingTable:
         return sorted(t for t, n in self.assignment.items() if n == node)
 
 
-def type_segment_vectors(
-    trace: Trace, segment_size: int = 256
-) -> Tuple[Dict[int, Counter], Dict[int, int]]:
-    """Reference vectors per transaction type over page segments.
+class SegmentCounts:
+    """A trace's references per (transaction type, page segment).
 
-    Returns ``(vectors, volumes)`` where ``vectors[type]`` counts
-    references per segment and ``volumes[type]`` is the total.
+    The one count behind both heuristics: the routing table reads the
+    per-type vectors, the GLA assignment the per-segment totals of each
+    routed node.  ``counts`` maps ``(type_id, segment)`` to a reference
+    count, keyed in first-encounter order (trace order, and reference
+    order within a transaction); ``types`` lists the type ids in the
+    order of their first transaction, empty ones included.  Both
+    heuristics break ties with stable sorts, so these orders are part
+    of their output.
     """
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    vectors: Dict[int, Counter] = defaultdict(Counter)
-    volumes: Dict[int, int] = defaultdict(int)
-    for txn in trace:
-        vector = vectors[txn.type_id]
-        for ref in txn.references:
-            vector[(ref.file_id, ref.page_no // segment_size)] += 1
-            volumes[txn.type_id] += 1
-    return dict(vectors), dict(volumes)
+
+    __slots__ = ("segment_size", "types", "counts")
+
+    def __init__(self, trace: Trace, segment_size: int = 256):
+        if segment_size < 1:
+            raise ValueError("segment_size must be >= 1")
+        self.segment_size = segment_size
+        # Each type's references in trace order, with the start of each
+        # of its transactions there and that transaction's trace index.
+        per_type: Dict[int, Tuple[List[TraceReference], List[int], List[int]]] = {}
+        for index, txn in enumerate(trace):
+            lists = per_type.get(txn.type_id)
+            if lists is None:
+                lists = per_type[txn.type_id] = ([], [], [])
+            references, starts, txn_indices = lists
+            starts.append(len(references))
+            txn_indices.append(index)
+            references += txn.references
+        self.types: List[int] = list(per_type)
+        # One C-level count per type.  References hash by value and the
+        # trace is skewed, so a type's distinct references are few and
+        # folding them into segments is cheap; the fold keeps each
+        # segment's first reference, which locates (``index`` from the
+        # previous one, then the transaction starts) the segment's first
+        # encounter in the trace.
+        firsts = []
+        for type_id, (references, starts, txn_indices) in per_type.items():
+            segments: Dict[Segment, List] = {}
+            for ref, count in Counter(references).items():
+                segment = (ref.file_id, ref.page_no // segment_size)
+                entry = segments.get(segment)
+                if entry is None:
+                    segments[segment] = [count, ref]
+                else:
+                    entry[0] += count
+            position = 0
+            for segment, (count, ref) in segments.items():
+                position = references.index(ref, position)
+                txn = bisect_right(starts, position) - 1
+                trace_position = (txn_indices[txn], position - starts[txn])
+                firsts.append((trace_position, type_id, segment, count))
+        firsts.sort()
+        self.counts: Dict[Tuple[int, Segment], int] = {
+            (type_id, segment): count for _, type_id, segment, count in firsts
+        }
+
+    def vectors(self) -> Tuple[Dict[int, Counter], Dict[int, int]]:
+        """``(vectors, volumes)``: references per segment of each type
+        (every type in :attr:`types`) and each referencing type's total."""
+        vectors: Dict[int, Counter] = {type_id: Counter() for type_id in self.types}
+        volumes: Dict[int, int] = {}
+        for (type_id, segment), count in self.counts.items():
+            vectors[type_id][segment] = count
+            volumes[type_id] = volumes.get(type_id, 0) + count
+        return vectors, volumes
 
 
 def build_routing_table(
-    trace: Trace,
-    num_nodes: int,
-    segment_size: int = 256,
-    balance_slack: float = 1.25,
+    counts: SegmentCounts, num_nodes: int, balance_slack: float = 1.25
 ) -> RoutingTable:
-    """Greedy affinity clustering of transaction types onto nodes."""
+    """Greedy affinity clustering of transaction types onto nodes, from
+    the trace's segment counts (shared with
+    :func:`repro.routing.gla.build_gla_map`)."""
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
-    vectors, volumes = type_segment_vectors(trace, segment_size)
+    vectors, volumes = counts.vectors()
     if num_nodes == 1:
         return RoutingTable({t: 0 for t in vectors}, 1)
     total_volume = sum(volumes.values())

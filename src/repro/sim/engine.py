@@ -456,19 +456,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- scheduling -----------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        if event._scheduled:
-            raise SimulationError("event already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        if delay == 0.0:
-            lane = self._urgent if priority == URGENT else self._ready
-            lane.append((self.now, priority, self._seq, event))
-        else:
-            heappush(self._heap, (self.now + delay, priority, self._seq, event))
-
     # -- running --------------------------------------------------------
 
     def step(self) -> None:
@@ -476,10 +463,11 @@ class Simulator:
 
         The next event is the global minimum of the lane heads and the
         heap top, all valid heap tuples.  ``_urgent`` entries are at
-        the current time with priority :data:`URGENT`, so they can only
-        lose to a heap entry by ``seq`` (a delayed URGENT schedule
-        landing on this exact timestamp); ``_ready`` entries can only
-        lose to heap URGENTs or an earlier-``seq`` NORMAL landing now.
+        the current time with priority :data:`URGENT`; every heap entry
+        is :data:`NORMAL` (only process bootstraps and interrupt relays
+        are URGENT, and both are same-time), so an urgent head always
+        wins.  ``_ready`` entries can only lose to an earlier-``seq``
+        NORMAL landing now.
         :meth:`run` inlines this body; the property tests compare the
         two event by event.  Raises ``IndexError`` when no event is
         scheduled at all.

@@ -20,31 +20,41 @@ comma-separated list of ``file:page:mode`` references.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
-__all__ = ["TraceReference", "TraceTransaction", "Trace"]
+__all__ = ["ReferencePool", "TraceReference", "TraceTransaction", "Trace"]
 
 
-class TraceReference:
-    """One recorded page reference."""
+class TraceReference(NamedTuple):
+    """One recorded page reference.
 
-    __slots__ = ("file_id", "page_no", "write")
+    References are shared: :func:`repro.workload.tracegen.generate_trace`
+    and :meth:`Trace.read_from` intern them through a
+    :class:`ReferencePool`, one object per ``(file_id, page_no,
+    write)`` that many transactions hold.  A reference therefore must
+    not be mutated (as a named tuple it cannot be); it hashes and
+    compares by its fields.
+    """
 
-    def __init__(self, file_id: int, page_no: int, write: bool):
-        self.file_id = file_id
-        self.page_no = page_no
-        self.write = write
+    file_id: int
+    page_no: int
+    write: bool
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TraceReference)
-            and self.file_id == other.file_id
-            and self.page_no == other.page_no
-            and self.write == other.write
-        )
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TraceReference({self.file_id}, {self.page_no}, {'w' if self.write else 'r'})"
+class ReferencePool(Dict[Tuple[int, int, bool], TraceReference]):
+    """Interns trace references.
+
+    ``pool[(file_id, page_no, write)]`` returns the pool's one
+    :class:`TraceReference` for that key, creating it on first use; a
+    hit is a plain dict lookup.  The paper-size trace holds about a
+    million references but only tens of thousands of distinct ones.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Tuple[int, int, bool]) -> TraceReference:
+        reference = self[key] = TraceReference._make(key)
+        return reference
 
 
 class TraceTransaction:
@@ -155,6 +165,7 @@ class Trace:
             raise ValueError("malformed trace header")
         num_files = int(files_line[1])
         transactions: List[TraceTransaction] = []
+        pool = ReferencePool()
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -169,8 +180,6 @@ class Trace:
                     file_id, page_no, mode = token.split(":")
                     if mode not in ("r", "w"):
                         raise ValueError(f"bad access mode in {token!r}")
-                    references.append(
-                        TraceReference(int(file_id), int(page_no), mode == "w")
-                    )
+                    references.append(pool[(int(file_id), int(page_no), mode == "w")])
             transactions.append(TraceTransaction(type_id, references))
         return cls(transactions, num_files)

@@ -28,11 +28,18 @@ Construction:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
 from repro.sim.rng import Stream, zipf_weights
 from repro.system.config import TraceWorkloadConfig
-from repro.workload.trace import Trace, TraceReference, TraceTransaction
+from repro.workload.trace import (
+    ReferencePool,
+    Trace,
+    TraceReference,
+    TraceTransaction,
+)
 
 __all__ = ["TraceTypeProfile", "generate_trace", "file_sizes"]
 
@@ -174,19 +181,22 @@ def _default_profiles(config: TraceWorkloadConfig) -> List[TraceTypeProfile]:
 def generate_trace(
     config: TraceWorkloadConfig, stream: Stream
 ) -> Tuple[Trace, List[TraceTypeProfile], List[int]]:
-    """Generate a synthetic trace; returns (trace, profiles, file sizes)."""
+    """Generate a synthetic trace; returns (trace, profiles, file sizes).
+
+    About a million references at paper size, so the per-reference loop
+    inlines its draws on ``stream``'s bound ``random``/``getrandbits``
+    (same values, same order as ``weighted_index``, ``bernoulli`` and
+    ``randint(0, n - 1)``; see :class:`~repro.sim.rng.Stream`) and
+    interns the references through one :class:`ReferencePool`.
+    """
     config = config.scaled()
     sizes = file_sizes(config)
     profiles = _default_profiles(config)
-    cumulative_freq: List[float] = []
-    running = 0.0
-    for profile in profiles:
-        running += profile.frequency
-        cumulative_freq.append(running)
-    zipf_tables: Dict[int, List[float]] = {
-        file_id: zipf_weights(size, config.zipf_theta)
-        for file_id, size in enumerate(sizes)
-    }
+    cumulative_freq = list(accumulate(profile.frequency for profile in profiles))
+    total_freq = cumulative_freq[-1]
+    last_type = len(profiles) - 1
+    zipf_tables = [zipf_weights(size, config.zipf_theta) for size in sizes]
+    zipf_totals = [table[-1] for table in zipf_tables]
     shared_file = 0  # the biggest file is the shared hot file
     # Reads live in the first three quarters of each file's page space;
     # writes allocate sequentially in the last quarter.  The paper's
@@ -195,48 +205,56 @@ def generate_trace(
     # requires updates to fall on pages that other transactions rarely
     # touch (insert-like behaviour).
     read_region = [max(1, (3 * size) // 4) for size in sizes]
+    write_span = [max(1, size - region) for size, region in zip(sizes, read_region)]
     write_cursor = [0] * len(sizes)
+    rand = stream.random
+    getrandbits = stream.getrandbits
+    pool = ReferencePool()
     transactions: List[TraceTransaction] = []
     for _ in range(config.num_transactions):
-        type_index = stream.weighted_index(cumulative_freq)
-        type_index = min(type_index, len(profiles) - 1)
-        profile = profiles[type_index]
+        profile = profiles[
+            min(bisect_right(cumulative_freq, rand() * total_freq), last_type)
+        ]
         if profile.fixed_size:
             size = int(profile.mean_size)
         else:
             size = max(1, int(round(stream.exponential(profile.mean_size))))
+        shared_probability = profile.shared_file_probability
+        write_probability = profile.write_probability
+        home_files = profile.home_files
+        num_home = len(home_files)
+        home_bits = num_home.bit_length()
+        rotation = profile.rotation
         references: List[TraceReference] = []
+        append = references.append
         for _ref in range(size):
-            if (
-                profile.shared_file_probability
-                and stream.bernoulli(profile.shared_file_probability)
-            ):
+            if shared_probability and rand() < shared_probability:
                 file_id = shared_file
             else:
-                file_id = profile.home_files[
-                    stream.randint(0, len(profile.home_files) - 1)
-                ]
+                index = getrandbits(home_bits)
+                while index >= num_home:
+                    index = getrandbits(home_bits)
+                file_id = home_files[index]
             # Writes avoid the globally shared hot file and fall on
             # uniformly chosen (i.e. cold-tail) pages: the paper
             # observes that lock conflicts and buffer invalidations had
             # no significant impact on its trace, which requires
             # updates to hit narrowly shared pages.
-            write = (
-                profile.write_probability > 0
-                and file_id >= 3
-                and stream.bernoulli(profile.write_probability)
-            )
-            if write:
-                write_span = max(1, sizes[file_id] - read_region[file_id])
-                page_no = read_region[file_id] + (write_cursor[file_id] % write_span)
+            if write_probability > 0 and file_id >= 3 and rand() < write_probability:
+                page_no = read_region[file_id] + (
+                    write_cursor[file_id] % write_span[file_id]
+                )
                 write_cursor[file_id] += 1
+                append(pool[(file_id, page_no, True)])
             else:
-                rank = stream.weighted_index(zipf_tables[file_id])
+                rank = bisect_right(
+                    zipf_tables[file_id], rand() * zipf_totals[file_id]
+                )
                 # Rotate the popularity ranking per type so types
                 # favour different hot pages while still overlapping;
                 # reads stay inside the read region.
-                page_no = (rank + profile.rotation) % read_region[file_id]
-            references.append(TraceReference(file_id, page_no, write))
+                page_no = (rank + rotation) % read_region[file_id]
+                append(pool[(file_id, page_no, False)])
         transactions.append(TraceTransaction(profile.type_id, references))
     return Trace(transactions, config.num_files), profiles, sizes
 

@@ -343,21 +343,22 @@ class TestSameTimestampOrdering:
     @settings(max_examples=60, deadline=None)
     def test_lanes_preserve_urgent_then_fifo_order(self, kinds):
         """Heap timers, coalesced zero-duration holds (the ``_ready``
-        lane) and URGENT wakeups (the ``_urgent`` lane) landing on one
-        timestamp fire URGENT-first, then FIFO by schedule order."""
-        from repro.sim.engine import URGENT
-
+        lane) and URGENT wakeups (process bootstraps, the ``_urgent``
+        lane) landing on one timestamp fire URGENT-first, then FIFO by
+        schedule order."""
         sim = Simulator()
         fired = []
+
+        def record(tag):
+            fired.append(tag)
+            return
+            yield  # a generator: its bootstrap is the URGENT wakeup
+
         # A dedicated idle resource per hold keeps every hold on its
         # uncontended fast path, which arms through the _ready lane.
         for tag, kind in enumerate(kinds):
             if kind == "urgent":
-                event = sim.event()
-                event._ok = True
-                event._value = None
-                event.callbacks.append(lambda _e, t=tag: fired.append(t))
-                sim._schedule(event, 0.0, priority=URGENT)
+                sim.process(record(tag))
             elif kind == "hold":
                 entry = Resource(sim, capacity=1).hold(0.0)
                 entry.callbacks.append(lambda _e, t=tag: fired.append(t))

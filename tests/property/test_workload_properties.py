@@ -1,12 +1,13 @@
 """Property-based tests for workload generation, traces and routing."""
 
 import io
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing.gla import build_gla_map
-from repro.routing.routing_table import build_routing_table
+from repro.routing.routing_table import SegmentCounts, build_routing_table
 from repro.sim import StreamRegistry
 from repro.sim.rng import zipf_weights
 from repro.workload.trace import Trace, TraceReference, TraceTransaction
@@ -54,7 +55,7 @@ class TestRoutingProperties:
         self, spec, num_nodes
     ):
         trace = build_trace(spec)
-        table = build_routing_table(trace, num_nodes)
+        table = build_routing_table(SegmentCounts(trace), num_nodes)
         for txn in trace:
             assert 0 <= table.node_for(txn.type_id) < num_nodes
 
@@ -62,7 +63,9 @@ class TestRoutingProperties:
     @settings(max_examples=50)
     def test_routing_load_within_slack(self, spec, num_nodes):
         trace = build_trace(spec)
-        table = build_routing_table(trace, num_nodes, balance_slack=1.25)
+        table = build_routing_table(
+            SegmentCounts(trace), num_nodes, balance_slack=1.25
+        )
         loads = [0] * num_nodes
         for txn in trace:
             loads[table.node_for(txn.type_id)] += len(txn.references)
@@ -81,13 +84,99 @@ class TestRoutingProperties:
     @settings(max_examples=50)
     def test_gla_map_total_and_deterministic(self, spec, num_nodes):
         trace = build_trace(spec)
-        table = build_routing_table(trace, num_nodes)
-        gla = build_gla_map(trace, table, num_nodes)
+        counts = SegmentCounts(trace)
+        table = build_routing_table(counts, num_nodes)
+        gla = build_gla_map(counts, table, num_nodes)
         for txn in trace:
             for ref in txn.references:
                 node = gla((ref.file_id, ref.page_no))
                 assert 0 <= node < num_nodes
                 assert node == gla((ref.file_id, ref.page_no))
+
+
+def per_reference_counts(trace, segment_size):
+    """References per (type, segment) in first-encounter order, counted
+    one reference at a time (the plain pass the shared count replaces)."""
+    counts = {}
+    for txn in trace:
+        for ref in txn.references:
+            key = (txn.type_id, (ref.file_id, ref.page_no // segment_size))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def per_reference_gla(trace, table, num_nodes, segment_size, balance_slack):
+    """``build_gla_map``'s assignment from a per-reference count."""
+    segment_refs = {}
+    for txn in trace:
+        node = table.node_for(txn.type_id)
+        for ref in txn.references:
+            segment = (ref.file_id, ref.page_no // segment_size)
+            segment_refs.setdefault(segment, Counter())[node] += 1
+    total = sum(sum(c.values()) for c in segment_refs.values())
+    cap = total / num_nodes * balance_slack if num_nodes > 1 else float("inf")
+    load = [0.0] * num_nodes
+    assignment = {}
+    for segment, per_node in sorted(
+        segment_refs.items(), key=lambda item: -sum(item[1].values())
+    ):
+        weight = sum(per_node.values())
+        chosen = next(
+            (
+                node
+                for node, _ in sorted(per_node.items(), key=lambda kv: -kv[1])
+                if load[node] + weight <= cap
+            ),
+            None,
+        )
+        if chosen is None:
+            chosen = min(range(num_nodes), key=lambda n: load[n])
+        assignment[segment] = chosen
+        load[chosen] += weight
+    return assignment
+
+
+class TestSharedSegmentCount:
+    """The one segment count keeps the per-reference passes' counts and
+    first-encounter orders, so both heuristics' stable-sort tie-breaks
+    (segment order in trace order, node order within a segment) hold."""
+
+    @given(spec=transactions, segment_size=st.sampled_from([1, 7, 256]))
+    @settings(max_examples=80)
+    def test_counts_and_order_match_per_reference_pass(self, spec, segment_size):
+        trace = build_trace(spec)
+        shared = SegmentCounts(trace, segment_size)
+        expected = per_reference_counts(trace, segment_size)
+        assert list(shared.counts.items()) == list(expected.items())
+        assert shared.types == list(dict.fromkeys(t for t, _ in spec))
+        vectors, volumes = shared.vectors()
+        assert list(vectors) == shared.types
+        for type_id, vector in vectors.items():
+            assert list(vector.items()) == [
+                (segment, count)
+                for (t, segment), count in expected.items()
+                if t == type_id
+            ]
+        assert list(volumes) == list(dict.fromkeys(t for t, _ in expected))
+
+    @given(
+        spec=transactions,
+        num_nodes=st.integers(1, 4),
+        segment_size=st.sampled_from([1, 7, 256]),
+        balance_slack=st.sampled_from([1.0, 1.3]),
+    )
+    @settings(max_examples=80)
+    def test_gla_matches_per_reference_pass(
+        self, spec, num_nodes, segment_size, balance_slack
+    ):
+        trace = build_trace(spec)
+        counts = SegmentCounts(trace, segment_size)
+        table = build_routing_table(counts, num_nodes)
+        gla = build_gla_map(counts, table, num_nodes, balance_slack=balance_slack)
+        expected = per_reference_gla(
+            trace, table, num_nodes, segment_size, balance_slack
+        )
+        assert list(gla.assignment.items()) == list(expected.items())
 
 
 class TestRngProperties:

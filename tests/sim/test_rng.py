@@ -1,5 +1,7 @@
 """Unit tests for random stream registry."""
 
+import bisect
+
 import pytest
 
 from repro.sim import StreamRegistry
@@ -73,6 +75,53 @@ class TestDistributions:
         stream = StreamRegistry(3).stream("g")
         with pytest.raises(ValueError):
             stream.geometric(0.0)
+
+
+class TestBoundDraws:
+    """The bound draws hot loops inline are the wrapper distributions,
+    draw for draw: same values and same stream position afterwards."""
+
+    @staticmethod
+    def twin_streams(seed):
+        return (
+            StreamRegistry(seed).stream("bound"),
+            StreamRegistry(seed).stream("bound"),
+        )
+
+    @pytest.mark.parametrize("seed", [3, 2026])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_getrandbits_rejection_is_randint(self, seed, n):
+        fast, reference = self.twin_streams(seed)
+        getrandbits = fast.getrandbits
+        k = n.bit_length()
+        for _ in range(300):
+            value = getrandbits(k)
+            while value >= n:
+                value = getrandbits(k)
+            assert value == reference.randint(0, n - 1)
+        assert fast.random() == reference.random()
+
+    @pytest.mark.parametrize("seed", [3, 2026])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_random_below_p_is_bernoulli(self, seed, n):
+        fast, reference = self.twin_streams(seed)
+        rand = fast.random
+        p = n / 6
+        for _ in range(300):
+            assert (rand() < p) == reference.bernoulli(p)
+        assert fast.random() == reference.random()
+
+    @pytest.mark.parametrize("seed", [3, 2026])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bisect_of_scaled_random_is_weighted_index(self, seed, n):
+        fast, reference = self.twin_streams(seed)
+        rand = fast.random
+        table = zipf_weights(n, 0.8)
+        total = table[-1]
+        for _ in range(300):
+            index = bisect.bisect_right(table, rand() * total)
+            assert index == reference.weighted_index(table)
+        assert fast.random() == reference.random()
 
 
 class TestZipf:

@@ -63,6 +63,12 @@ class TestRoundTrip:
         for original, reloaded in zip(trace, loaded):
             assert original.type_id == reloaded.type_id
             assert original.references == reloaded.references
+        # Loading interns: equal references are one shared object.
+        shared = {}
+        for txn in loaded:
+            for ref in txn.references:
+                assert shared.setdefault(ref, ref) is ref
+        assert len(shared) == 3
 
     def test_file_round_trip(self, tmp_path):
         trace = small_trace()
