@@ -238,20 +238,17 @@ class PageOwners:
     ) -> Generator[Event, Any, Optional[Mapping[str, Any]]]:
         """Watched request/reply round trip: send ``request`` (a message
         to ``host`` answered into ``reply``) and wait for the answer,
-        attributed to ``txn_id``'s COMM phase (None: no span, the time
-        stays in the caller's).  None when ``host`` crashed before
-        answering (the caller retries or gives up)."""
+        attributed to ``txn_id``'s COMM phase (None: the recorder
+        attributes nothing, the time stays in the caller's).  None when
+        ``host`` crashed before answering (the caller retries or gives
+        up)."""
         faults = self.cluster.faults
         if faults is not None:
             faults.watch(host, reply)
         payload: Mapping[str, Any]
-        if txn_id is None:
+        with self.recorder.span(txn_id, phases.COMM):
             yield from request
             payload = yield reply
-        else:
-            with self.recorder.span(txn_id, phases.COMM):
-                yield from request
-                payload = yield reply
         if faults is not None:
             faults.unwatch(host, reply)
             if payload.get("crashed"):

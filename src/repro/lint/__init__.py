@@ -13,36 +13,29 @@ Programmatic use::
     findings, files = lint_paths(["src/repro"])
 """
 
-from repro.lint.analyzer import FileAnalyzer, Registry, analyze_source, build_registry
-from repro.lint.autofix import FIXABLE_RULES, fix_paths, fix_source
+from repro.lint.analyzer import FileAnalyzer, Registry, build_registry
 from repro.lint.cfg import CFG, CFGNode, build_cfg
 from repro.lint.dataflow import merge_states, run_dataflow
 from repro.lint.findings import JSON_SCHEMA_VERSION, Finding, render_json, render_text
 from repro.lint.protocol import collect_wire_registry, msg_findings_for_file
 from repro.lint.res import ResAnalyzer
-from repro.lint.rngrules import RngAnalyzer
 from repro.lint.rules import RULES, Rule, is_known_rule
 from repro.lint.runner import collect_files, lint_paths, lint_sources
 
 __all__ = [
     "CFG",
     "CFGNode",
-    "FIXABLE_RULES",
     "FileAnalyzer",
     "Finding",
     "JSON_SCHEMA_VERSION",
     "Registry",
     "RULES",
     "ResAnalyzer",
-    "RngAnalyzer",
     "Rule",
-    "analyze_source",
     "build_cfg",
     "build_registry",
     "collect_files",
     "collect_wire_registry",
-    "fix_paths",
-    "fix_source",
     "is_known_rule",
     "lint_paths",
     "lint_sources",

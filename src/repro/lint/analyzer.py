@@ -13,7 +13,7 @@ The analyzer runs in two passes:
   suppression.
 
 * **Pass B** (:class:`FileAnalyzer`) walks each file with the global
-  registry and emits findings for the DET/SIM rules.
+  registry and emits findings for the DET rules and RNG001.
 
 The rules are heuristics with precise, documented trigger conditions
 (docs/LINTING.md); they are tuned to the idioms of this codebase.
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.lint.findings import Finding
 
-__all__ = ["Registry", "build_registry", "FileAnalyzer", "analyze_source"]
+__all__ = ["Registry", "build_registry", "FileAnalyzer", "terminal_name"]
 
 
 # --------------------------------------------------------------------------
@@ -80,11 +80,11 @@ _TIME_MEMBERS = {
     "clock",
 }
 
-#: Identifier fragments that mark a heap-tuple element as a tie-break key.
-_SEQ_FRAGMENTS = ("seq", "count", "serial", "tick", "tie")
+#: random-module classes that build a generator (RNG001, not DET002).
+_RAW_GENERATORS = {"Random", "SystemRandom"}
 
 
-def _terminal_name(node: ast.AST) -> Optional[str]:
+def terminal_name(node: ast.AST) -> Optional[str]:
     """Rightmost identifier of a Name / Attribute chain, if any."""
     if isinstance(node, ast.Name):
         return node.id
@@ -107,11 +107,11 @@ def _is_set_annotation(node: Optional[ast.AST]) -> bool:
     node = _resolve_annotation(node)
     if node is None:
         return False
-    name = _terminal_name(node)
+    name = terminal_name(node)
     if name in _SET_TYPE_NAMES:
         return True
     if isinstance(node, ast.Subscript):
-        base = _terminal_name(node.value)
+        base = terminal_name(node.value)
         if base in _SET_TYPE_NAMES:
             return True
         if base in _WRAPPER_TYPE_NAMES:
@@ -129,7 +129,7 @@ def _is_dict_of_set_annotation(node: Optional[ast.AST]) -> bool:
     node = _resolve_annotation(node)
     if not isinstance(node, ast.Subscript):
         return False
-    base = _terminal_name(node.value)
+    base = terminal_name(node.value)
     if base in _WRAPPER_TYPE_NAMES:
         slice_node = node.slice
         args = (
@@ -235,7 +235,7 @@ def _is_set_display(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        return _terminal_name(node.func) in {"set", "frozenset"}
+        return terminal_name(node.func) in {"set", "frozenset"}
     return False
 
 
@@ -263,12 +263,21 @@ class FileAnalyzer(ast.NodeVisitor):
         self.findings: List[Finding] = []
         #: module alias -> real module name ('import random as rnd').
         self.module_aliases: Dict[str, str] = {}
+        #: local name -> random-module member ('from random import Random').
+        self.random_imports: Dict[str, str] = {}
         local = _LocalNameCollector()
         local.visit(tree)
         self.set_names = local.set_names
         self.dict_of_set_names = local.dict_of_set_names
+        #: The module defining the stream layer is exempt from RNG001.
+        self.defines_stream_layer = False
         self._parents: Dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
+            if isinstance(parent, ast.ClassDef) and parent.name in {
+                "Stream",
+                "StreamRegistry",
+            }:
+                self.defines_stream_layer = True
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
 
@@ -317,7 +326,7 @@ class FileAnalyzer(ast.NodeVisitor):
             return self._is_dict_of_set(node.value)
         if isinstance(node, ast.Call):
             func = node.func
-            func_name = _terminal_name(func)
+            func_name = terminal_name(func)
             if func_name in {"set", "frozenset"}:
                 return True
             if func_name in self.registry.set_returning:
@@ -370,7 +379,7 @@ class FileAnalyzer(ast.NodeVisitor):
         """True if ``node`` is consumed where iteration order cannot matter."""
         parent = self._parent(node)
         if isinstance(parent, ast.Call) and node in parent.args:
-            if _terminal_name(parent.func) in _ORDER_INSENSITIVE:
+            if terminal_name(parent.func) in _ORDER_INSENSITIVE:
                 return True
         if isinstance(parent, ast.Compare):
             # Membership / equality tests are order-free.
@@ -378,13 +387,13 @@ class FileAnalyzer(ast.NodeVisitor):
         return False
 
     def _describe(self, node: ast.AST) -> str:
-        name = _terminal_name(node)
+        name = terminal_name(node)
         if isinstance(node, ast.Call):
-            name = _terminal_name(node.func)
+            name = terminal_name(node.func)
             return f"call to {name}()" if name else "call"
         return repr(name) if name else "expression"
 
-    # -- imports (aliases + DET002 on from-imports) ---------------------
+    # -- imports (aliases, DET002 on from-imports) ----------------------
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -395,11 +404,9 @@ class FileAnalyzer(ast.NodeVisitor):
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "random":
-            bad = [
-                a.name
-                for a in node.names
-                if a.name not in {"Random", "SystemRandom"}
-            ]
+            for alias in node.names:
+                self.random_imports[alias.asname or alias.name] = alias.name
+            bad = [a.name for a in node.names if a.name not in _RAW_GENERATORS]
             if bad:
                 self._flag(
                     node,
@@ -425,7 +432,7 @@ class FileAnalyzer(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- DET001 / DET003: unordered iteration ---------------------------
+    # -- DET001: unordered iteration ------------------------------------
 
     def _check_iteration(self, iter_node: ast.AST, where: ast.AST) -> None:
         if self._is_unordered(iter_node):
@@ -464,7 +471,7 @@ class FileAnalyzer(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        func_name = _terminal_name(func)
+        func_name = terminal_name(func)
 
         # DET001: arbitrary-element pick / order materialisation.
         if func_name == "iter" and node.args and self._is_set_expr(node.args[0]):
@@ -486,13 +493,20 @@ class FileAnalyzer(ast.NodeVisitor):
                 f"{func_name}() materialises unordered "
                 f"{self._describe(node.args[0])}; use sorted()",
             )
+        elif func_name == "sum" and node.args and self._sums_unordered(node.args[0]):
+            self._flag(
+                node,
+                "DET001",
+                "sum() over an unordered iterable makes float totals "
+                "order-dependent; sort first or use math.fsum",
+            )
         elif self._is_fs_listing(node) and not self._order_insensitive_context(
             node
         ):
             parent = self._parent(node)
             inside_sorted = (
                 isinstance(parent, ast.Call)
-                and _terminal_name(parent.func) == "sorted"
+                and terminal_name(parent.func) == "sorted"
             )
             if not inside_sorted and not self._iterated_by_checked_node(node):
                 self._flag(
@@ -502,31 +516,13 @@ class FileAnalyzer(ast.NodeVisitor):
                     "OS-dependent order; wrap in sorted()",
                 )
 
-        # DET003: float accumulation over unordered iterables.
-        if func_name == "sum" and node.args:
-            arg = node.args[0]
-            unordered = self._is_unordered(arg)
-            if isinstance(arg, (ast.GeneratorExp, ast.ListComp)) and any(
-                self._is_unordered(g.iter) for g in arg.generators
-            ):
-                # sum(1 for ...) counts; integers add associatively.
-                elt = arg.elt
-                if not (
-                    isinstance(elt, ast.Constant) and isinstance(elt.value, int)
-                ):
-                    unordered = True
-            if unordered:
-                self._flag(
-                    node,
-                    "DET003",
-                    "sum() over an unordered iterable makes float totals "
-                    "order-dependent; sort first or use math.fsum",
-                )
-
-        # DET002: global randomness / wall clock / uuid.
+        # DET002: global randomness / wall clock / uuid; RNG001: raw
+        # generators.
         if isinstance(func, ast.Attribute):
             module = self._module_of(func.value)
-            if module == "random" and func.attr not in {"Random", "SystemRandom"}:
+            if module == "random" and func.attr in _RAW_GENERATORS:
+                self._flag_raw_generator(node, f"random.{func.attr}")
+            elif module == "random":
                 self._flag(
                     node,
                     "DET002",
@@ -549,7 +545,7 @@ class FileAnalyzer(ast.NodeVisitor):
                 )
             elif func.attr in {"utcnow", "now", "today"} and (
                 module == "datetime"
-                or _terminal_name(func.value) in {"datetime", "date"}
+                or terminal_name(func.value) in {"datetime", "date"}
             ):
                 self._flag(
                     node,
@@ -557,6 +553,12 @@ class FileAnalyzer(ast.NodeVisitor):
                     f"{func.attr}() reads the host wall clock; simulation "
                     "results must not depend on it",
                 )
+        elif isinstance(func, ast.Name):
+            member = self.random_imports.get(func.id)
+            if member in _RAW_GENERATORS:
+                self._flag_raw_generator(node, f"random.{member}")
+            elif func.id == "Stream":
+                self._flag_raw_generator(node, "Stream")
 
         # DET002: id()-based ordering.
         if func_name == "id" and isinstance(func, ast.Name) and node.args:
@@ -568,23 +570,30 @@ class FileAnalyzer(ast.NodeVisitor):
                     "sequence number instead",
                 )
 
-        # SIM002: recorder span outside a with-statement.
-        if isinstance(func, ast.Attribute) and func.attr == "span":
-            if not self._is_with_context(node):
-                self._flag(
-                    node,
-                    "SIM002",
-                    "span() must be used as `with recorder.span(...)`: a "
-                    "push without a guaranteed pop corrupts the span stack "
-                    "on exception unwind",
-                )
-
-        # SIM003: heap entries without a total-order tie-break.
-        if func_name in {"heappush", "heappushpop", "heapreplace"}:
-            if len(node.args) >= 2:
-                self._check_heap_entry(node.args[1])
-
         self.generic_visit(node)
+
+    def _sums_unordered(self, arg: ast.AST) -> bool:
+        """Does ``sum(arg)`` add in set or OS order?
+
+        ``sum(1 for ...)`` only counts: integers add associatively.
+        """
+        if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+            elt = arg.elt
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, int):
+                return False
+            return any(self._is_unordered(g.iter) for g in arg.generators)
+        return self._is_unordered(arg)
+
+    def _flag_raw_generator(self, node: ast.Call, constructed: str) -> None:
+        if not self.defines_stream_layer:
+            self._flag(
+                node,
+                "RNG001",
+                f"raw generator construction ({constructed}(...)); draw "
+                "from a named per-purpose stream via "
+                "StreamRegistry.stream(name) so seed derivation stays "
+                "centralised",
+            )
 
     def _iterated_by_checked_node(self, node: ast.AST) -> bool:
         """True when a For/comprehension already reports this iterable."""
@@ -604,59 +613,10 @@ class FileAnalyzer(ast.NodeVisitor):
             if isinstance(parent, ast.Compare):
                 return True
             if isinstance(parent, ast.Call):
-                name = _terminal_name(parent.func)
+                name = terminal_name(parent.func)
                 if name in {"heappush", "heappushpop", "heapreplace"}:
                     return True
             if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return False
             current = parent
         return False
-
-    def _is_with_context(self, node: ast.AST) -> bool:
-        parent = self._parent(node)
-        return isinstance(parent, ast.withitem) and parent.context_expr is node
-
-    def _check_heap_entry(self, entry: ast.AST) -> None:
-        if not isinstance(entry, ast.Tuple) or len(entry.elts) < 2:
-            return
-        last = entry.elts[-1]
-        if not isinstance(last, (ast.Name, ast.Attribute, ast.Call)):
-            return
-        last_name = _terminal_name(last) or ""
-        if last_name.endswith(("_id", "_no", "id", "no")):
-            return  # scalar identifiers are their own total order
-        for element in entry.elts[:-1]:
-            name = (_terminal_name(element) or "").lower()
-            if any(fragment in name for fragment in _SEQ_FRAGMENTS):
-                return
-        self._flag(
-            entry,
-            "SIM003",
-            "heap entry ends in an arbitrary object with no sequence "
-            "number before it; ties on the leading keys fall back to "
-            "object comparison",
-        )
-
-
-def analyze_source(
-    path: str, source: str, registry: Optional[Registry] = None
-) -> Tuple[List[Finding], Optional[ast.AST]]:
-    """Analyze one file's source; returns (findings, tree or None)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return (
-            [
-                Finding(
-                    path,
-                    exc.lineno or 0,
-                    exc.offset or 0,
-                    "SUP001",
-                    f"file does not parse: {exc.msg}",
-                )
-            ],
-            None,
-        )
-    if registry is None:
-        registry = build_registry([tree])
-    return FileAnalyzer(path, tree, registry).run(), tree

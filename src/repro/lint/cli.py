@@ -1,6 +1,7 @@
 """``simlint`` command line interface (also ``python -m repro.lint``).
 
-Exit codes: 0 clean, 1 findings reported, 2 usage or I/O error.
+Exit codes: 0 clean, 1 findings reported, 2 usage or I/O error (a
+scanned file that does not parse included).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.lint.autofix import fix_paths
 from repro.lint.findings import render_json, render_text
 from repro.lint.rules import RULES, is_known_rule
 from repro.lint.runner import lint_paths
@@ -50,11 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical autofixes (DET001, SUP001) in place, then lint",
-    )
     return parser
 
 
@@ -74,23 +69,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         for rule in RULES.values():
             print(f"{rule.id}  {rule.summary}")
-            print(f"        {rule.rationale}")
+        print("\nRationale and fixes per rule: docs/LINTING.md")
         return 0
     select = _split_rules(args.select, parser)
     ignore = _split_rules(args.ignore, parser)
     paths = args.paths or ["src/repro"]
-    if args.fix:
-        try:
-            changed = fix_paths(paths)
-        except (FileNotFoundError, OSError) as exc:
-            print(f"simlint: error: {exc}", file=sys.stderr)
-            return 2
-        for path, count in sorted(changed.items()):
-            print(f"simlint: fixed {count} finding(s) in {path}", file=sys.stderr)
     try:
         findings, files_scanned = lint_paths(paths, select=select, ignore=ignore)
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
+        return 2
+    except SyntaxError as exc:
+        print(
+            f"simlint: error: {exc.filename}:{exc.lineno}:{exc.offset}: "
+            f"file does not parse: {exc.msg}",
+            file=sys.stderr,
+        )
         return 2
     if args.json:
         print(render_json(findings, files_scanned))

@@ -28,6 +28,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.analyzer import terminal_name
 from repro.lint.findings import Finding
 
 __all__ = [
@@ -75,14 +76,6 @@ class WireRegistry:
         return bool(self.kinds)
 
 
-def _terminal_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _const_str(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -95,7 +88,7 @@ def _const_str(node: ast.AST) -> Optional[str]:
 
 
 def _collect_typed_dict(node: ast.ClassDef, registry: WireRegistry) -> None:
-    if not any(_terminal_name(base) == "TypedDict" for base in node.bases):
+    if not any(terminal_name(base) == "TypedDict" for base in node.bases):
         return
     total = True
     for kw in node.keywords:
@@ -109,7 +102,7 @@ def _collect_typed_dict(node: ast.ClassDef, registry: WireRegistry) -> None:
         ):
             continue
         name = stmt.target.id
-        wrapper = _terminal_name(
+        wrapper = terminal_name(
             stmt.annotation.value
             if isinstance(stmt.annotation, ast.Subscript)
             else stmt.annotation
@@ -146,14 +139,14 @@ def _collect_wire_formats(path: str, stmt: ast.stmt, registry: WireRegistry) -> 
         handled: Tuple[str, ...] = ()
         args = list(value_node.args)
         if args:
-            payload = _terminal_name(args[0])
+            payload = terminal_name(args[0])
         if len(args) >= 2 and isinstance(args[1], (ast.Tuple, ast.List)):
             handled = tuple(
                 s for s in (_const_str(e) for e in args[1].elts) if s is not None
             )
         for kw in value_node.keywords:
             if kw.arg == "payload":
-                payload = _terminal_name(kw.value)
+                payload = terminal_name(kw.value)
             elif kw.arg == "handled_by" and isinstance(
                 kw.value, (ast.Tuple, ast.List)
             ):
@@ -184,13 +177,11 @@ def _collect_class(path: str, node: ast.ClassDef, registry: WireRegistry) -> Non
 
 
 def collect_wire_registry(
-    parsed: Sequence[Tuple[str, Optional[ast.AST]]],
+    parsed: Sequence[Tuple[str, ast.AST]],
 ) -> WireRegistry:
     """Extract the wire-format declaration from the scanned trees."""
     registry = WireRegistry()
     for path, tree in parsed:
-        if tree is None:
-            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 _collect_typed_dict(node, registry)
@@ -228,7 +219,7 @@ def _function_ann_payloads(func: ast.AST) -> Dict[str, Tuple[str, ast.Dict]]:
             and isinstance(sub.target, ast.Name)
             and isinstance(sub.value, ast.Dict)
         ):
-            type_name = _terminal_name(sub.annotation)
+            type_name = terminal_name(sub.annotation)
             if type_name is not None:
                 out[sub.target.id] = (type_name, sub.value)
     return out

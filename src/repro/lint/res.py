@@ -34,8 +34,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lint.cfg import CFG, CFGNode, build_cfg
-from repro.lint.dataflow import State, merge_states, run_dataflow
+from repro.lint.cfg import CFGNode, build_cfg
+from repro.lint.dataflow import State, run_dataflow
 from repro.lint.findings import Finding
 
 __all__ = ["ResAnalyzer"]

@@ -14,7 +14,6 @@ from repro.lint.protocol import (
     msg_findings_for_file,
 )
 from repro.lint.res import ResAnalyzer
-from repro.lint.rngrules import RngAnalyzer
 from repro.lint.suppressions import parse_suppressions
 
 __all__ = ["collect_files", "lint_paths", "lint_sources"]
@@ -49,34 +48,20 @@ def lint_sources(
 
     Pass A parses everything and builds the cross-file set registry;
     pass B analyses each file against it.  Suppression comments filter
-    findings per line; malformed suppressions surface as SUP001.
+    findings per line; malformed suppressions surface as SUP001.  A
+    file that does not parse raises ``SyntaxError``: nothing in it was
+    analysed, so no rule selection may report it clean.
     """
-    parsed: List[Tuple[str, str, Optional[ast.AST]]] = []
-    findings: List[Finding] = []
-    for path, source in sources:
-        try:
-            tree: Optional[ast.AST] = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    path,
-                    exc.lineno or 0,
-                    exc.offset or 0,
-                    "SUP001",
-                    f"file does not parse: {exc.msg}",
-                )
-            )
-            tree = None
-        parsed.append((path, source, tree))
-    registry = build_registry([tree for _, _, tree in parsed if tree is not None])
+    parsed = [
+        (path, source, ast.parse(source, filename=path)) for path, source in sources
+    ]
+    registry = build_registry([tree for _, _, tree in parsed])
     wire_registry = collect_wire_registry([(p, t) for p, _, t in parsed])
     tables = {}
+    findings: List[Finding] = []
     for path, source, tree in parsed:
-        if tree is None:
-            continue
         raw = FileAnalyzer(path, tree, registry).run()
         raw.extend(ResAnalyzer(path, tree).run())
-        raw.extend(RngAnalyzer(path, tree).run())
         raw.extend(msg_findings_for_file(path, tree, wire_registry))
         table = parse_suppressions(source, path)
         tables[path] = table

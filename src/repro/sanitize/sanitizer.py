@@ -178,7 +178,9 @@ class SanitizedRecorder:
 
     Forwards every hook to the wrapped recorder (which may be the
     null recorder), while keeping its own per-transaction stack of
-    open phase names.  A pop that does not match the top of the stack,
+    open phase names.  Spans without a transaction (``txn_id`` None)
+    are forwarded unshadowed, as the recorder attributes nothing to
+    them.  A pop that does not match the top of the stack,
     or a transaction that ends with spans still open, is a violation:
     both corrupt the response-time breakdown silently when they happen
     in an unsanitized run.
@@ -209,9 +211,13 @@ class SanitizedRecorder:
             )
         self._inner.txn_end(txn_id, now, committed)
 
-    def span(self, txn_id: Any, phase: str) -> _ShadowSpan:
-        # simlint: disable-next=SIM002 -- the inner span is wrapped in a context manager, not entered
-        return _ShadowSpan(self, self._inner.span(txn_id, phase), txn_id, phase)
+    def span(self, txn_id: Any, phase: str) -> Any:
+        inner = self._inner.span(txn_id, phase)
+        if txn_id is None:
+            # No transaction, nothing attributed: concurrent processes
+            # open these, so they share no stack to balance.
+            return inner
+        return _ShadowSpan(self, inner, txn_id, phase)
 
     def interval(self, node_id: int, phase: str, start: float, end: float) -> None:
         if end < start:
@@ -232,13 +238,9 @@ class SanitizedRecorder:
     # -- shadow stack ----------------------------------------------------
 
     def _shadow_push(self, txn_id: Any, phase: str) -> None:
-        stack = self._stacks.get(txn_id)
-        if stack is None:
-            # Span on a transaction the recorder never saw begin (node
-            # intervals use txn_id None): tracked under its own key so
-            # balance is still checked.
-            stack = self._stacks.setdefault(txn_id, [])
-        stack.append(phase)
+        # A span on a transaction the recorder never saw begin is
+        # tracked under its own key, so its balance is still checked.
+        self._stacks.setdefault(txn_id, []).append(phase)
         self._report.spans_checked += 1
 
     def _shadow_pop(self, txn_id: Any, phase: str) -> None:

@@ -7,6 +7,7 @@ unless it carries a justified suppression.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,9 +53,32 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003",
-                        "SIM002", "SIM003", "SUP001"):
-            assert rule_id in out
+        listed = re.findall(r"^([A-Z]{3}\d{3})  ", out, flags=re.MULTILINE)
+        assert {"DET001", "DET002", "SUP001"} <= set(listed)
+        # The catalog and docs/LINTING.md's rule headings cannot drift.
+        documented = re.findall(
+            r"^### ([A-Z]{3}\d{3}) ",
+            (REPO / "docs" / "LINTING.md").read_text(),
+            flags=re.MULTILINE,
+        )
+        assert sorted(listed) == sorted(documented)
+        assert len(set(documented)) == len(documented)
+
+    def test_unparsable_file_exits_two_whatever_the_selection(
+        self, tmp_path, capsys
+    ):
+        path = write(tmp_path, "broken.py", "def f(:\n    pass\n")
+        for extra in ([], ["--ignore", "SUP001"], ["--select", "DET001"]):
+            assert main([path, *extra]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:1:" in err and "does not parse" in err
+            assert "clean" not in err
+
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.py"
+        path.write_bytes(b'x = "\xe9"\n')
+        assert main([str(path)]) == 2
+        assert "simlint: error:" in capsys.readouterr().err
 
 
 class TestSelectIgnore:

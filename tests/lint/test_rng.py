@@ -1,4 +1,4 @@
-"""Seeded fixtures for the RNG stream-discipline rules."""
+"""Seeded fixtures for RNG001, the stream-discipline rule."""
 
 import textwrap
 
@@ -65,58 +65,3 @@ class TestRNG001RawGenerators:
             """
         )
         assert at(findings, "RNG001") == []
-
-
-class TestRNG002CrossReplicateGuards:
-    def test_draw_guarded_by_job_count_fires(self):
-        findings = lint_src(
-            """\
-            def jitter(stream, config):
-                if config.jobs > 1:
-                    return stream.uniform(0.0, 1.0)
-                return 0.0
-            """
-        )
-        assert at(findings, "RNG002") == [(3, 15)]
-
-    def test_draw_guarded_by_environment_fires(self):
-        findings = lint_src(
-            """\
-            import os
-
-
-            def jitter(stream):
-                if os.environ.get("WORKERS"):
-                    return stream.uniform(0.0, 1.0)
-                return 0.0
-            """
-        )
-        assert at(findings, "RNG002") == [(6, 15)]
-
-    def test_unconditional_draw_with_guarded_use_is_clean(self):
-        # Drawing first and *using* conditionally keeps every replicate's
-        # stream position identical -- the canonical fix for RNG002.
-        findings = lint_src(
-            """\
-            import os
-
-
-            def jitter(stream):
-                value = stream.uniform(0.0, 1.0)
-                if os.environ.get("WORKERS"):
-                    return value
-                return 0.0
-            """
-        )
-        assert at(findings, "RNG002") == []
-
-    def test_draw_guarded_by_simulation_state_is_clean(self):
-        findings = lint_src(
-            """\
-            def think_time(stream, txn):
-                if txn.is_update:
-                    return stream.expovariate(5.0)
-                return stream.expovariate(20.0)
-            """
-        )
-        assert at(findings, "RNG002") == []

@@ -40,9 +40,11 @@ class TestTrailingDisable:
     def test_multiple_rules_one_comment(self):
         findings = lint_src(
             """\
+            import time
+
             def f():
                 pending = {1.5, 2.5}
-                return sum(pending)  # simlint: disable=DET001,DET003 -- fsum'd upstream
+                return sum(pending), time.time()  # simlint: disable=DET001,DET002 -- display only
             """
         )
         assert findings == []

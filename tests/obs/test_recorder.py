@@ -28,9 +28,7 @@ class TestNullRecorder:
 
     def test_span_is_shared_singleton(self):
         # The hot paths allocate nothing when tracing is off.
-        # simlint: disable-next=SIM002 -- the span object itself is the subject, never entered
         a = NULL_RECORDER.span(1, phases.CPU)
-        # simlint: disable-next=SIM002 -- the span object itself is the subject, never entered
         b = NullRecorder().span(2, phases.IO)
         assert a is b
 
