@@ -298,7 +298,7 @@ class PrimaryCopyProtocol(CCProtocol):
         supplied = self.store.supplies(node, page, seqno, payload["cached_version"])
         auth = self._read_opt and mode is LockMode.SHARED
         if auth:
-            entry.auth_nodes.add(requester)
+            entry.authorize(requester)
         grant: LockResponsePayload = {
             "seqno": seqno,
             "supplied": supplied,
@@ -364,7 +364,7 @@ class PrimaryCopyProtocol(CCProtocol):
         if faults is not None:
             for target, ack in acks:
                 faults.unwatch(target, ack)
-        entry.auth_nodes.difference_update(targets)
+        entry.deauthorize(*targets)
 
     def _handle_revoke(
         self, node: "Node", payload: Mapping[str, Any]
@@ -530,7 +530,7 @@ class PrimaryCopyProtocol(CCProtocol):
             ]:
                 del node.auth_cache[page]
             for entry in self.tables[node.node_id]._entries.values():
-                entry.auth_nodes.discard(home)
+                entry.deauthorize(home)
 
     def _partition_snapshot(self, home: int) -> List[Tuple[int, PageId, LockMode]]:
         """Lock registrations of surviving transactions for ``home``.

@@ -117,8 +117,7 @@ class StoreLockingProtocol(CCProtocol):
             and not entry.queue
         ):
             # Sole interest: authorize this node's local lock manager.
-            entry.auth_nodes.clear()
-            entry.auth_nodes.add(node_id)
+            entry.authorize_only(node_id)
             node.gem_auth.add(page)
         return self.store.grant(node_id, page, entry.seqno, entry.owner)
 
@@ -154,7 +153,7 @@ class StoreLockingProtocol(CCProtocol):
         node.gem_auth.discard(page)
         entry = self.glt.peek(page)
         if entry is not None:
-            entry.auth_nodes.discard(node.node_id)
+            entry.deauthorize(node.node_id)
         # Flush the locally processed lock state back to the GLT.
         yield from self.store.update(node.node_id)
         yield from node.comm.send(
@@ -244,7 +243,7 @@ class StoreLockingProtocol(CCProtocol):
         if self._auth:
             self.cluster.nodes[record.node].gem_auth.clear()
             for entry in self.glt._entries.values():
-                entry.auth_nodes.discard(record.node)
+                entry.deauthorize(record.node)
         self.store.fence(record)
 
     def recover(

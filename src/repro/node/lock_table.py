@@ -17,14 +17,39 @@ requests at the queue head are granted in batches, and lock *upgrades*
 Every lock entry also carries the coherency-control metadata the paper
 stores alongside lock state: the page sequence number, the current
 page owner (NOFORCE) and read-authorization node sets (PCL read
-optimization).  Metadata persists after all locks are released.
+optimization).  Metadata persists after all locks are released, so a
+table keeps one entry for every page it has seen.
+
+An entry's containers exist only while in use.  At rest its holders,
+queue and authorizations are the shared immutable empties below; the
+first grant, wait or authorization allocates the real container, and
+the release, promotion, cancel or de-authorization that empties it
+puts the shared empty back.  An entry at rest is then the size of the
+paper's fixed GLT record (lock state, sequence number, owner) rather
+than three empty containers.  Only :class:`LockTable` and the
+authorization methods of :class:`LockEntry` mutate the containers;
+since the empties are immutable, a mutation anywhere else raises
+instead of changing state shared by every entry at rest.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.db.pages import PageId
 
@@ -52,20 +77,54 @@ class _Request:
         self.upgrade = upgrade
 
 
+#: The containers of every entry at rest (see the module docstring).
+_NO_HOLDERS: Mapping[int, LockMode] = MappingProxyType({})
+_NO_QUEUE: Tuple[_Request, ...] = ()
+_NO_AUTH: FrozenSet[int] = frozenset()
+
+
 class LockEntry:
     """Lock state plus coherency metadata for one page."""
 
     __slots__ = ("holders", "queue", "seqno", "owner", "auth_nodes")
 
     def __init__(self) -> None:
-        self.holders: Dict[int, LockMode] = {}
-        self.queue: Deque[_Request] = deque()
+        #: Lock holders: a dict while any, else the shared empty.
+        self.holders: Mapping[int, LockMode] = _NO_HOLDERS
+        #: Waiting requests: a deque while any, else the shared empty.
+        self.queue: Sequence[_Request] = _NO_QUEUE
         #: Page sequence number: incremented for every modification.
         self.seqno: int = 0
         #: Node holding the current page copy (NOFORCE), else None.
         self.owner: Optional[int] = None
-        #: Nodes holding a read authorization (PCL read optimization).
-        self.auth_nodes: Set[int] = set()
+        #: Nodes holding a read authorization (PCL read optimization):
+        #: a set while any, else the shared empty.
+        self.auth_nodes: AbstractSet[int] = _NO_AUTH
+
+    def authorize(self, node: int) -> None:
+        """Grant ``node`` a read authorization."""
+        auth = self.auth_nodes
+        if isinstance(auth, set):
+            auth.add(node)
+        else:
+            self.auth_nodes = {node}
+
+    def authorize_only(self, node: int) -> None:
+        """Make ``node`` the one authorized node (sole interest)."""
+        auth = self.auth_nodes
+        if isinstance(auth, set):
+            auth.clear()
+            auth.add(node)
+        else:
+            self.auth_nodes = {node}
+
+    def deauthorize(self, *nodes: int) -> None:
+        """Void the read authorizations of ``nodes``."""
+        auth = self.auth_nodes
+        if isinstance(auth, set):
+            auth.difference_update(nodes)
+            if not auth:
+                self.auth_nodes = _NO_AUTH
 
     def catch_up(self, committed: int) -> None:
         """Crash reclaim: raise the entry to ``committed``, a version a
@@ -75,6 +134,15 @@ class LockEntry:
         if committed > self.seqno:
             self.seqno = committed
             self.owner = None
+
+
+def _grant(entry: LockEntry, txn: int, mode: LockMode) -> None:
+    """Record ``txn`` as a holder of ``entry`` in ``mode``."""
+    holders = entry.holders
+    if isinstance(holders, dict):
+        holders[txn] = mode
+    else:
+        entry.holders = {txn: mode}
 
 
 class LockTable:
@@ -144,21 +212,29 @@ class LockTable:
                 return True
             # Upgrade S -> X.
             if len(entry.holders) == 1:
-                entry.holders[txn] = LockMode.EXCLUSIVE
+                _grant(entry, txn, LockMode.EXCLUSIVE)
                 self.immediate_grants += 1
                 return True
-            entry.queue.appendleft(_Request(txn, mode, on_grant, upgrade=True))
-            self._blocked[txn] = page
-            self.waits += 1
+            self._wait(entry, page, _Request(txn, mode, on_grant, upgrade=True))
             return False
         if not entry.queue and _compatible(mode, entry.holders.values()):
-            entry.holders[txn] = mode
+            _grant(entry, txn, mode)
             self.immediate_grants += 1
             return True
-        entry.queue.append(_Request(txn, mode, on_grant, upgrade=False))
-        self._blocked[txn] = page
-        self.waits += 1
+        self._wait(entry, page, _Request(txn, mode, on_grant, upgrade=False))
         return False
+
+    def _wait(self, entry: LockEntry, page: PageId, request: _Request) -> None:
+        """Queue ``request``: an upgrade at the front, else at the back."""
+        queue = entry.queue
+        if not isinstance(queue, deque):
+            entry.queue = deque((request,))
+        elif request.upgrade:
+            queue.appendleft(request)
+        else:
+            queue.append(request)
+        self._blocked[request.txn] = page
+        self.waits += 1
 
     def release(self, txn: int, page: PageId) -> List[Tuple[int, LockMode]]:
         """Release ``txn``'s lock on ``page``.
@@ -169,49 +245,53 @@ class LockTable:
         entry = self._entries.get(page)
         if entry is None or txn not in entry.holders:
             raise KeyError(f"txn {txn} holds no lock on page {page}")
-        del entry.holders[txn]
+        holders = entry.holders
+        if isinstance(holders, dict) and len(holders) > 1:
+            del holders[txn]
+        else:
+            # ``txn`` was the only holder.
+            entry.holders = _NO_HOLDERS
         return self._promote(entry)
-
-    def release_all(
-        self, txn: int, pages: Iterable[PageId]
-    ) -> List[Tuple[int, LockMode]]:
-        """Release a set of pages held by ``txn``; returns all new grants."""
-        granted: List[Tuple[int, LockMode]] = []
-        for page in pages:
-            granted.extend(self.release(txn, page))
-        return granted
 
     def cancel(self, txn: int, page: PageId) -> List[Tuple[int, LockMode]]:
         """Remove ``txn``'s *queued* request for ``page`` (abort path)."""
         entry = self._entries.get(page)
         if entry is None:
             return []
-        for request in list(entry.queue):
+        queue = entry.queue
+        if not isinstance(queue, deque):
+            return []
+        for request in queue:
             if request.txn == txn:
-                entry.queue.remove(request)
                 break
         else:
             return []
+        queue.remove(request)
         self._blocked.pop(txn, None)
         return self._promote(entry)
 
     def _promote(self, entry: LockEntry) -> List[Tuple[int, LockMode]]:
+        queue = entry.queue
+        if not isinstance(queue, deque):
+            return []
         granted: List[Tuple[int, LockMode]] = []
-        while entry.queue:
-            head = entry.queue[0]
+        while queue:
+            head = queue[0]
             if head.upgrade:
                 others = [t for t in entry.holders if t != head.txn]
                 if others:
                     break
-                entry.holders[head.txn] = LockMode.EXCLUSIVE
+                _grant(entry, head.txn, LockMode.EXCLUSIVE)
             else:
                 if not _compatible(head.mode, entry.holders.values()):
                     break
-                entry.holders[head.txn] = head.mode
-            entry.queue.popleft()
+                _grant(entry, head.txn, head.mode)
+            queue.popleft()
             self._blocked.pop(head.txn, None)
             granted.append((head.txn, head.mode))
             head.on_grant()
+        if not queue:
+            entry.queue = _NO_QUEUE
         return granted
 
     # -- deadlock support --------------------------------------------------

@@ -163,6 +163,10 @@ class TestRevokeOrder:
         class Entry:
             auth_nodes = {8, 1}
 
+            @classmethod
+            def deauthorize(cls, *nodes):
+                cls.auth_nodes.difference_update(nodes)
+
         assert list(Entry.auth_nodes) == [8, 1]  # the hazardous order
         drive(cluster, protocol._revoke_authorizations(
             gla_node, page_of_node(cluster, 0), Entry, requester=0))

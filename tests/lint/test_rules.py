@@ -377,6 +377,49 @@ class TestCrossFileRegistry:
             ("user.py", "DET001", 2)
         ]
 
+    def test_abstract_set_attr_with_shared_empty_initialiser(self):
+        # The annotation alone marks the attribute: its initialiser is
+        # a shared immutable empty, not a set display.
+        owner = """\
+        from typing import AbstractSet, FrozenSet
+
+        _NO_AUTH: FrozenSet[int] = frozenset()
+
+        class GlobalTable:
+            def __init__(self) -> None:
+                self.auth_nodes: AbstractSet[int] = _NO_AUTH
+        """
+        user = """\
+        def walk(table):
+            for node in table.auth_nodes:
+                print(node)
+        """
+        findings, _files = lint_sources(
+            [
+                ("owner.py", textwrap.dedent(owner)),
+                ("user.py", textwrap.dedent(user)),
+            ]
+        )
+        assert [(f.path, f.rule, f.line) for f in findings] == [
+            ("user.py", "DET001", 2)
+        ]
+
+    def test_lock_entry_auth_nodes_stay_a_set(self):
+        import repro.node.lock_table as lock_table
+
+        with open(lock_table.__file__, encoding="utf-8") as handle:
+            owner = handle.read()
+        user = """\
+        def walk(entry):
+            return [node for node in entry.auth_nodes]
+        """
+        findings, _files = lint_sources(
+            [("lock_table.py", owner), ("user.py", textwrap.dedent(user))]
+        )
+        assert [(f.path, f.rule, f.line) for f in findings] == [
+            ("user.py", "DET001", 2)
+        ]
+
     def test_bare_names_stay_module_local(self):
         # 'nodes' is a set in one module; a like-named *list* attribute
         # in another module must not be poisoned by it.

@@ -1,8 +1,10 @@
 """Unit tests for the strict 2PL lock table."""
 
+import tracemalloc
+
 import pytest
 
-from repro.node.lock_table import LockMode, LockTable
+from repro.node.lock_table import LockEntry, LockMode, LockTable
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
@@ -91,13 +93,6 @@ class TestReleaseAndQueue:
     def test_release_unheld_lock_raises(self, table):
         with pytest.raises(KeyError):
             table.release(1, PAGE)
-
-    def test_release_all(self, table):
-        table.request(1, PAGE, X, noop)
-        table.request(1, (0, 2), S, noop)
-        table.release_all(1, [PAGE, (0, 2)])
-        assert table.holds(1, PAGE) is None
-        assert table.holds(1, (0, 2)) is None
 
 
 class TestUpgrades:
@@ -249,3 +244,114 @@ class TestMetadataAndInvariants:
                 mode = X if rng.random() < 0.3 else S
                 table.request(txn, PAGE, mode, noop)
             check()
+
+
+def assert_at_rest(entry):
+    """Every container of ``entry`` is the shared empty."""
+    rest = LockEntry()
+    assert entry.holders is rest.holders
+    assert entry.queue is rest.queue
+    assert entry.auth_nodes is rest.auth_nodes
+
+
+class TestContainersAtRest:
+    """An entry holds containers only while they are in use."""
+
+    def test_fresh_entry_shares_the_empties(self, table):
+        assert_at_rest(table.entry(PAGE))
+        assert_at_rest(table.entry((0, 2)))
+
+    def test_grant_then_release(self, table):
+        table.request(1, PAGE, X, noop)
+        assert table.entry(PAGE).holders == {1: X}
+        table.release(1, PAGE)
+        assert_at_rest(table.entry(PAGE))
+
+    def test_shared_holders_released_in_turn(self, table):
+        table.request(1, PAGE, S, noop)
+        table.request(2, PAGE, S, noop)
+        table.release(1, PAGE)
+        assert dict(table.entry(PAGE).holders) == {2: S}
+        table.release(2, PAGE)
+        assert_at_rest(table.entry(PAGE))
+
+    def test_queued_wait_then_promote(self, table):
+        table.request(1, PAGE, X, noop)
+        table.request(2, PAGE, X, noop)
+        assert [request.txn for request in table.entry(PAGE).queue] == [2]
+        assert table.release(1, PAGE) == [(2, X)]
+        assert table.entry(PAGE).queue is LockEntry().queue
+        table.release(2, PAGE)
+        assert_at_rest(table.entry(PAGE))
+
+    def test_upgrade(self, table):
+        table.request(1, PAGE, S, noop)
+        assert table.request(1, PAGE, X, noop)
+        table.release(1, PAGE)
+        assert_at_rest(table.entry(PAGE))
+
+    def test_queued_upgrade(self, table):
+        table.request(1, PAGE, S, noop)
+        table.request(2, PAGE, S, noop)
+        assert not table.request(1, PAGE, X, noop)
+        assert table.release(2, PAGE) == [(1, X)]
+        table.release(1, PAGE)
+        assert_at_rest(table.entry(PAGE))
+
+    def test_cancel(self, table):
+        table.request(1, PAGE, X, noop)
+        table.request(2, PAGE, X, noop)
+        table.cancel(2, PAGE)
+        assert table.entry(PAGE).queue is LockEntry().queue
+        table.release(1, PAGE)
+        assert_at_rest(table.entry(PAGE))
+
+    def test_authorize_then_deauthorize(self, table):
+        entry = table.entry(PAGE)
+        entry.authorize(3)
+        entry.authorize(1)
+        assert entry.auth_nodes == {1, 3}
+        entry.deauthorize(3)
+        assert entry.auth_nodes == {1}
+        entry.deauthorize(1, 5)
+        assert_at_rest(entry)
+
+    def test_authorize_only_replaces(self, table):
+        entry = table.entry(PAGE)
+        entry.authorize_only(2)
+        entry.authorize(4)
+        entry.authorize_only(7)
+        assert entry.auth_nodes == {7}
+        entry.deauthorize(7)
+        assert_at_rest(entry)
+
+    def test_deauthorize_at_rest_is_noop(self, table):
+        entry = table.entry(PAGE)
+        entry.deauthorize(1)
+        assert_at_rest(entry)
+
+    def test_shared_empties_refuse_mutation(self, table):
+        entry = table.entry(PAGE)
+        with pytest.raises(TypeError):
+            entry.holders[1] = X
+        with pytest.raises(AttributeError):
+            entry.queue.append(None)
+        with pytest.raises(AttributeError):
+            entry.auth_nodes.add(1)
+        assert_at_rest(table.entry((0, 2)))
+
+    def test_bytes_per_entry_at_rest(self):
+        """20k pages locked once and released cost < 200 B each: the
+        entry and its slot in the table, no containers."""
+        pages = [(0, number) for number in range(20_000)]
+        table = LockTable("t")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for page in pages:
+                table.request(1, page, X, noop)
+                table.release(1, page)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / len(pages) <= 200
